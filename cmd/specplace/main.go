@@ -13,7 +13,7 @@
 //
 //	specplace [-in FILE | -seed N] [-from 2012 -to 2016] [-fleet 40]
 //	          [-sample-seed N] [-demand 0.5] [-cap-watts 0] [-power-off]
-//	specplace -optimize [-models 5] [-max-per-model 6] [-objective cost]
+//	specplace -optimize [-models 5] [-max-per-model 6] [-demand 0.2] [-objective cost]
 //	          [-price 0.10] [-carbon 0.45] [-pue 1.5] [-opt-days 7]
 //	          [-intensity diurnal|duck|FILE.csv] [-rate-bins N]
 //	          [-embodied KG -lifetime-years Y]
@@ -21,6 +21,7 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -56,7 +57,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		from       = fs.Int("from", 2011, "earliest hardware availability year for the fleet")
 		to         = fs.Int("to", 2016, "latest hardware availability year for the fleet")
 		fleetN     = fs.Int("fleet", 40, "fleet size (servers drawn from the dataset)")
-		demand     = fs.Float64("demand", 0.5, "workload demand as a fraction of fleet capacity")
+		demand     = fs.Float64("demand", 0.5, "workload demand as a fraction of fleet capacity; with -optimize, the trace's mean demand as a fraction of the largest composition's capacity (default 0.2 there)")
 		capWatts   = fs.Float64("cap-watts", 0, "when > 0, also maximize throughput under this power budget")
 		powerOff   = fs.Bool("power-off", false, "treat unassigned servers as powered off")
 		bandW      = fs.Float64("ep-band", 0.1, "EP band width for logical clustering")
@@ -97,12 +98,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	servers = sampleServers(servers, *fleetN, *sampleSeed)
 	if *doOpt {
+		if !flagSet(fs, "demand") {
+			*demand = optDemand
+		}
 		return runOptimize(stdout, servers, optConfig{
 			models: *optModels, maxPer: *maxPer, step: *countStep,
 			bins: *bins, objective: *objName, topK: *topK,
 			days: *optDays, stepSeconds: *optStep, demand: *demand,
-			tariff: trace.Tariff{USDPerKWh: *price, KgCO2PerKWh: *carbon, PUE: *pue},
-			seed:   *seed,
+			tariff:    trace.Tariff{USDPerKWh: *price, KgCO2PerKWh: *carbon, PUE: *pue},
+			seed:      *seed,
 			intensity: *intens, intensityStep: *intStep, rateBins: *rateBins,
 			embodiedKg: *embodiedKg, lifetimeYears: *lifeYears, regions: *regionsS,
 		})
@@ -310,6 +314,23 @@ func sampleServers(servers []*dataset.Result, n int, seed int64) []*dataset.Resu
 		out[i] = servers[j]
 	}
 	return out
+}
+
+// optDemand is the -optimize default mean demand share. The synthetic
+// trace peaks at up to 1.4× its mean (diurnal swing), ×1.1 (noise
+// tail), ×2.5 (largest spike), so a 0.2 mean keeps the peak under
+// ~0.8 of the largest composition's capacity and the search feasible.
+const optDemand = 0.2
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name == name {
+			set = true
+		}
+	})
+	return set
 }
 
 type optConfig struct {

@@ -99,6 +99,19 @@ func TestOptimizeDigestWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestOptimizeDefaultFlags: the bare -optimize invocation must find a
+// feasible composition — the placement-mode -demand default would put
+// the trace's spiky peak past the largest composition's capacity.
+func TestOptimizeDefaultFlags(t *testing.T) {
+	var out, errBuf bytes.Buffer
+	if err := run([]string{"-optimize"}, &out, &errBuf); err != nil {
+		t.Fatalf("specplace -optimize: %v\n%s", err, errBuf.String())
+	}
+	if !strings.Contains(out.String(), "optimum:") {
+		t.Fatalf("report has no optimum:\n%s", out.String())
+	}
+}
+
 // TestOptimizeCarbonAware covers the time-varying flags: intensity
 // shapes, the region list, and embodied amortization, all worker-
 // invariant on the report digest.
