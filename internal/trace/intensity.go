@@ -103,7 +103,8 @@ func (p *IntensityProfile) Mean() float64 {
 
 // Constant reports whether every rate is bit-identical, and that rate.
 // A constant profile is indistinguishable from a static tariff rate;
-// the optimizer uses this to fall back to the exact 1-D histogram path.
+// the optimizer uses this to price it as a static plan, with no rate
+// set in the fold.
 func (p *IntensityProfile) Constant() (float64, bool) {
 	if len(p.Rates) == 0 {
 		return 0, false
