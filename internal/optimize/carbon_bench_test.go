@@ -30,7 +30,7 @@ func carbonBenchConfig(b *testing.B) Config {
 }
 
 // BenchmarkCarbonStatic1D is the baseline: the same space and carbon
-// objective priced at the static tariff, scored on the 1-D histogram.
+// objective priced at the static tariff, scored on the demand-only fold.
 // The acceptance bar is BenchmarkCarbonFold2D ≤ 2× this.
 func BenchmarkCarbonStatic1D(b *testing.B) {
 	cfg := carbonBenchConfig(b)
