@@ -11,10 +11,15 @@ import (
 	"testing"
 )
 
+// csvDigestPin is the sha256 of the 64-server CSV stream below; it
+// moves with any change to the synthetic fleet, its profiles or the
+// simulator.
+const csvDigestPin = "b535df2d424c9aff49ea0b5c2860cbb72659b20ab0b8fb7340c2e0835fee6710"
+
 // TestCSVDigestWorkerInvariant is the golden worker-invariance check:
 // the full per-step CSV stream must be byte-identical at workers 1, 2,
 // and 8 — the trace segments stitch deterministically no matter how
-// they were scheduled. Latency sampling stays off here (its worker
+// they were scheduled — and equal to csvDigestPin. Latency sampling stays off here (its worker
 // invariance is pinned by fleetsim's stitching test on small servers);
 // at synthetic-fleet capacities the transaction-level sampler would
 // dominate the test's runtime.
@@ -35,6 +40,9 @@ func TestCSVDigestWorkerInvariant(t *testing.T) {
 			first = digest
 			if lines := strings.Count(out.String(), "\n"); lines != 1+576 {
 				t.Fatalf("csv lines = %d, want header + 576 steps", lines)
+			}
+			if digest != csvDigestPin {
+				t.Fatalf("csv digest %s, pinned %s", digest, csvDigestPin)
 			}
 		} else if digest != first {
 			t.Fatalf("workers=%s digest %s != workers=1 digest %s", workers, digest, first)
