@@ -17,7 +17,7 @@ type normCurve struct {
 
 // trapezoidArea integrates the curve over utilization [0, 1] with the
 // trapezoid rule on the 11-point grid — the same quadrature Eq. 1 uses.
-func (c normCurve) trapezoidArea() float64 {
+func (c *normCurve) trapezoidArea() float64 {
 	area := 0.1 * (c.idle + c.levels[0]) / 2
 	for i := 1; i < 10; i++ {
 		area += 0.1 * (c.levels[i-1] + c.levels[i]) / 2
@@ -26,33 +26,46 @@ func (c normCurve) trapezoidArea() float64 {
 }
 
 // ep returns the curve's energy proportionality (Eq. 1).
-func (c normCurve) ep() float64 { return 2 - 2*c.trapezoidArea() }
+func (c *normCurve) ep() float64 { return 2 - 2*c.trapezoidArea() }
 
-// peakSpot returns the utilization level(s) maximizing u/p(u) — the
-// peak-efficiency spot(s) assuming throughput proportional to load —
-// and the ratio of the best to the runner-up (stability margin).
-func (c normCurve) peakSpot() (spot float64, margin float64) {
-	best, second := -1.0, -1.0
+// efficiencies writes u/p(u) at each level into eff: the curve's
+// efficiency assuming throughput proportional to load.
+func (c *normCurve) efficiencies(eff *[10]float64) {
 	for i, u := range levelGrid {
-		e := u / c.levels[i]
+		eff[i] = u / c.levels[i]
+	}
+}
+
+// peakSpot returns the level maximizing the efficiencies eff — the
+// peak-efficiency spot, the first one on a tie — with the best and the
+// runner-up efficiency.
+func peakSpot(eff *[10]float64) (spot, best, second float64) {
+	best, second = -1.0, -1.0
+	for i, e := range eff {
 		if e > best {
 			second = best
 			best = e
-			spot = u
+			spot = levelGrid[i]
 		} else if e > second {
 			second = e
 		}
 	}
+	return spot, best, second
+}
+
+// spotMargin is the best/runner-up efficiency ratio: the stability
+// margin of the peak spot.
+func spotMargin(best, second float64) float64 {
 	if second <= 0 {
-		return spot, math.Inf(1)
+		return math.Inf(1)
 	}
-	return spot, best / second
+	return best / second
 }
 
 // monotone reports whether power strictly increases across the curve.
-func (c normCurve) monotone() bool {
+func (c *normCurve) monotone() bool {
 	prev := c.idle
-	for _, p := range c.levels {
+	for _, p := range &c.levels { // by pointer: no copy of the array
 		if p <= prev {
 			return false
 		}
@@ -67,33 +80,49 @@ func cubicShape(a, b, u float64) float64 {
 	return u + u*(1-u)*(a+b*u)
 }
 
-// shapeCurve builds the normalized curve for shape (a, b) and idle k:
-// p(u) = k + (1-k)·s(u).
-func shapeCurve(a, b, k float64) normCurve {
-	var c normCurve
-	c.idle = k
+// shape is one candidate cubic shape (a, b) evaluated on the ten-level
+// grid. The solver evaluates each candidate once and derives
+// admissibility, area, idle and curve from this one array. The solver's
+// arrays are filled in place through pointers: returning them by value
+// costs a block copy per candidate.
+type shape [10]float64
+
+// eval sets s to cubicShape(a, b, ·) on the level grid.
+func (s *shape) eval(a, b float64) {
 	for i, u := range levelGrid {
-		c.levels[i] = k + (1-k)*cubicShape(a, b, u)
+		s[i] = cubicShape(a, b, u)
 	}
-	return c
 }
 
-// shapeArea returns the trapezoid area of the raw shape s on the grid
-// (with s(0) = 0).
-func shapeArea(a, b float64) float64 {
-	area := 0.1 * cubicShape(a, b, 0.1) / 2
-	for i := 1; i < len(levelGrid); i++ {
-		area += 0.1 * (cubicShape(a, b, levelGrid[i-1]) + cubicShape(a, b, levelGrid[i])) / 2
+// admissible rejects shapes that are non-monotone or overshoot the
+// 100% power level before full load.
+func (s *shape) admissible() bool {
+	prev := 0.0
+	for i, v := range s {
+		if v <= prev || (levelGrid[i] < 1 && v >= 1) || v < 0 {
+			return false
+		}
+		prev = v
+	}
+	return true
+}
+
+// area returns the trapezoid area of the raw shape on the grid (with
+// s(0) = 0).
+func (s *shape) area() float64 {
+	area := 0.1 * s[0] / 2
+	for i := 1; i < len(s); i++ {
+		area += 0.1 * (s[i-1] + s[i]) / 2
 	}
 	return area
 }
 
-// idleForEP solves the idle fraction that makes the shape (a, b) hit
-// the target EP exactly: with A* = 1 − EP/2 and G the shape's area,
+// idleForEP solves the idle fraction that makes the shape hit the
+// target EP exactly: with A* = 1 − EP/2 and G the shape's area,
 // k = (A* − G)/(1 − G). ok is false when the required idle is outside
 // the physical band.
-func idleForEP(a, b, ep float64) (float64, bool) {
-	g := shapeArea(a, b)
+func (s *shape) idleForEP(ep float64) (float64, bool) {
+	g := s.area()
 	if g >= 1 {
 		return 0, false
 	}
@@ -104,18 +133,13 @@ func idleForEP(a, b, ep float64) (float64, bool) {
 	return k, true
 }
 
-// shapeAdmissible rejects shapes that are non-monotone or overshoot the
-// 100% power level before full load.
-func shapeAdmissible(a, b float64) bool {
-	prev := 0.0
-	for _, u := range levelGrid {
-		s := cubicShape(a, b, u)
-		if s <= prev || (u < 1 && s >= 1) || s < 0 {
-			return false
-		}
-		prev = s
+// curve sets c to the normalized curve for the shape and idle k:
+// p(u) = k + (1-k)·s(u).
+func (s *shape) curve(c *normCurve, k float64) {
+	c.idle = k
+	for i, v := range s {
+		c.levels[i] = k + (1-k)*v
 	}
-	return true
 }
 
 // peakMargin is the minimum best/runner-up efficiency ratio required so
@@ -144,6 +168,10 @@ func idleFromEq2(ep float64) float64 {
 // peak-efficiency spot lands on wantSpot. The cubic shape family
 // provides the curvature; when random search does not hit the spot the
 // curve is nudged level-wise and re-blended to the exact EP.
+//
+// The output is a pure function of the RNG stream: every fleet and
+// corpus digest depends on the draws below staying the same, in the
+// same order, and on each float expression keeping its form.
 func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 	targetIdle := clampF(idleFromEq2(ep)+eq2IdleNoise*rng.NormFloat64(), 0.03, 0.90)
 	// The shape area implied by the idle choice:
@@ -155,22 +183,28 @@ func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 		fallback    normCurve
 		haveFall    bool
 		fallbackGap = math.Inf(1)
+		s           shape
+		c           normCurve
+		eff         [10]float64
 	)
-	consider := func(c normCurve) (normCurve, bool) {
+	// consider reports whether c, as given or as forceSpot rewrites it
+	// in place, peaks at wantSpot with margin.
+	consider := func(c *normCurve) bool {
 		if !c.monotone() {
-			return normCurve{}, false
+			return false
 		}
-		spot, margin := c.peakSpot()
-		if spot == wantSpot && margin >= peakMargin {
-			return c, true
+		c.efficiencies(&eff)
+		spot, best, second := peakSpot(&eff)
+		if spot == wantSpot && spotMargin(best, second) >= peakMargin {
+			return true
 		}
-		if forced, ok := forceSpot(c, wantSpot, ep); ok {
-			return forced, true
+		if forceSpot(c, &eff, wantSpot, ep) {
+			return true
 		}
-		if gap := math.Abs(spot - wantSpot); gap < fallbackGap && margin >= peakMargin {
-			fallback, haveFall, fallbackGap = c, true, gap
+		if gap := math.Abs(spot - wantSpot); gap < fallbackGap && spotMargin(best, second) >= peakMargin {
+			fallback, haveFall, fallbackGap = *c, true, gap
 		}
-		return normCurve{}, false
+		return false
 	}
 	for attempt := 0; attempt < 200; attempt++ {
 		// One shape degree of freedom comes from the area constraint
@@ -178,14 +212,18 @@ func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 		// other is sampled.
 		a := -1.0 + 2.0*rng.Float64()
 		b := 12 * (gTarget - 0.5 - a/6)
-		if b < -1.6 || b > 1.6 || !shapeAdmissible(a, b) {
+		if b < -1.6 || b > 1.6 {
 			continue
 		}
-		k, ok := idleForEP(a, b, ep)
+		s.eval(a, b)
+		if !s.admissible() {
+			continue
+		}
+		k, ok := s.idleForEP(ep)
 		if !ok {
 			continue
 		}
-		if c, ok := consider(shapeCurve(a, b, k)); ok {
+		if s.curve(&c, k); consider(&c) {
 			return c
 		}
 	}
@@ -193,14 +231,15 @@ func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 	for attempt := 0; attempt < 400; attempt++ {
 		a := -1.0 + 2.0*rng.Float64()
 		b := -1.2 + 2.4*rng.Float64()
-		if !shapeAdmissible(a, b) {
+		s.eval(a, b)
+		if !s.admissible() {
 			continue
 		}
-		k, ok := idleForEP(a, b, ep)
+		k, ok := s.idleForEP(ep)
 		if !ok {
 			continue
 		}
-		if c, ok := consider(shapeCurve(a, b, k)); ok {
+		if s.curve(&c, k); consider(&c) {
 			return c
 		}
 	}
@@ -214,16 +253,19 @@ func solveCurve(rng *rand.Rand, ep, wantSpot float64) normCurve {
 	if k < 0.015 {
 		k = 0.015
 	}
-	return shapeCurve(0, 0, k)
+	s.eval(0, 0)
+	s.curve(&c, k)
+	return c
 }
 
 // forceSpot nudges the power at the desired peak-efficiency level just
 // low enough to win the argmax with margin, then re-blends the curve to
-// the exact EP and verifies the spot survived. It never forces a peak
-// at 100% (the level's power is pinned to 1 by normalization).
-func forceSpot(c normCurve, spot, ep float64) (normCurve, bool) {
+// the exact EP and verifies the spot survived; on success it replaces
+// *c with the result. eff holds c's efficiencies. It never forces a
+// peak at 100% (the level's power is pinned to 1 by normalization).
+func forceSpot(c *normCurve, eff *[10]float64, spot, ep float64) bool {
 	if spot >= 1 {
-		return normCurve{}, false
+		return false
 	}
 	idx := -1
 	for i, u := range levelGrid {
@@ -233,35 +275,35 @@ func forceSpot(c normCurve, spot, ep float64) (normCurve, bool) {
 		}
 	}
 	if idx < 0 {
-		return normCurve{}, false
+		return false
 	}
 	maxOther := 0.0
-	for i, u := range levelGrid {
-		if i == idx {
-			continue
-		}
-		if e := u / c.levels[i]; e > maxOther {
+	for i, e := range eff {
+		if i != idx && e > maxOther {
 			maxOther = e
 		}
 	}
 	// p at the spot must satisfy u/p ≥ margin·maxOther.
 	need := spot / (maxOther * (peakMargin + 0.004))
 	if need >= c.levels[idx] {
-		return normCurve{}, false // argmax was already elsewhere by margin
+		return false // argmax was already elsewhere by margin
 	}
-	nudged := c
-	nudged.levels[idx] = need
-	if !nudged.monotone() {
-		return normCurve{}, false
-	}
-	out := blendToEP(nudged, ep)
+	out := *c
+	out.levels[idx] = need
 	if !out.monotone() {
-		return normCurve{}, false
+		return false
 	}
-	if s, m := out.peakSpot(); s != spot || m < peakMargin {
-		return normCurve{}, false
+	out.blendToEP(ep)
+	if !out.monotone() {
+		return false
 	}
-	return out, true
+	var outEff [10]float64
+	out.efficiencies(&outEff)
+	if s, best, second := peakSpot(&outEff); s != spot || spotMargin(best, second) < peakMargin {
+		return false
+	}
+	*c = out
+	return true
 }
 
 func clampF(v, lo, hi float64) float64 {
@@ -270,45 +312,50 @@ func clampF(v, lo, hi float64) float64 {
 
 // flatRef is a nearly flat reference curve (EP ≈ 0.05) used to pull a
 // handcrafted curve's EP down.
-func flatRef() normCurve {
+var flatRef = func() normCurve {
 	var c normCurve
 	c.idle = 0.95
 	for i := range c.levels {
 		c.levels[i] = 0.95 + 0.05*levelGrid[i]
 	}
 	return c
-}
+}()
 
 // convexRef is a super-proportional reference (p = u², EP ≈ 1.33) used
 // to pull a handcrafted curve's EP up.
-func convexRef() normCurve {
+var convexRef = func() normCurve {
 	var c normCurve
 	for i, u := range levelGrid {
 		c.levels[i] = u * u
 	}
 	return c
-}
+}()
 
-// blendToEP adjusts a handcrafted curve to an exact EP target by convex
-// blending with a reference curve on the far side of the target. EP is
-// a linear functional of the curve, so the blend weight solves exactly:
-// λ = (target − ep(curve)) / (ep(ref) − ep(curve)). Handcrafted curves
-// sit close to their targets, so λ stays small and the curve's
-// qualitative features (crossing structure, peak spot) survive; the
-// anchor tests assert them after blending.
-func blendToEP(c normCurve, target float64) normCurve {
+// The references' EPs, computed once.
+var (
+	flatRefEP   = flatRef.ep()
+	convexRefEP = convexRef.ep()
+)
+
+// blendToEP adjusts a handcrafted curve, in place, to an exact EP
+// target by convex blending with a reference curve on the far side of
+// the target. EP is a linear functional of the curve, so the blend
+// weight solves exactly: λ = (target − ep(curve)) / (ep(ref) −
+// ep(curve)). Handcrafted curves sit close to their targets, so λ stays
+// small and the curve's qualitative features (crossing structure, peak
+// spot) survive; the anchor tests assert them after blending.
+func (c *normCurve) blendToEP(target float64) {
 	base := c.ep()
 	if base == target {
-		return c
+		return
 	}
-	ref := flatRef()
+	ref, refEP := &flatRef, flatRefEP
 	if target > base {
-		ref = convexRef()
+		ref, refEP = &convexRef, convexRefEP
 	}
-	lambda := (target - base) / (ref.ep() - base)
-	out := normCurve{idle: (1-lambda)*c.idle + lambda*ref.idle}
+	lambda := (target - base) / (refEP - base)
+	c.idle = (1-lambda)*c.idle + lambda*ref.idle
 	for i := range c.levels {
-		out.levels[i] = (1-lambda)*c.levels[i] + lambda*ref.levels[i]
+		c.levels[i] = (1-lambda)*c.levels[i] + lambda*ref.levels[i]
 	}
-	return out
 }

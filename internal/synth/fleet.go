@@ -63,11 +63,10 @@ func GenerateFleet(cfg FleetConfig) ([]*dataset.Result, error) {
 		}
 		g := &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
 		for i := 0; i < count; i++ {
-			r, err := g.fleetResult()
+			r, err := g.fleetResult(fleetID(base + i))
 			if err != nil {
 				return err
 			}
-			r.ID = fmt.Sprintf("fleet-%07d", base+i)
 			out[base+i] = r
 		}
 		return nil
@@ -91,11 +90,10 @@ func generateShardStore(cfg FleetConfig, s int) (*dataset.ColumnStore, error) {
 	g := &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
 	b := dataset.NewColumnBuilder(count, count*10, false)
 	for i := 0; i < count; i++ {
-		r, err := g.fleetResult()
+		r, err := g.fleetResult(fleetID(base + i))
 		if err != nil {
 			return nil, err
 		}
-		r.ID = fmt.Sprintf("fleet-%07d", base+i)
 		b.Append(r)
 	}
 	return b.Store(), nil
@@ -157,11 +155,27 @@ func GenerateFleetShards(cfg FleetConfig, fn func(shard int, cs *dataset.ColumnS
 	return nil
 }
 
-// fleetResult samples one server: blueprint from the plan tables, then
-// the standard draw/materialize pipeline. The curve solver can reject
-// an (EP target, peak spot) pair as non-monotone; fleets resample the
-// pair rather than fail, since no census depends on the first draw.
-func (g *generator) fleetResult() (*dataset.Result, error) {
+// fleetID is server i's ID, fmt.Sprintf("fleet-%07d", i) for i ≥ 0
+// without the fmt machinery: the digits of i, zero-padded to seven.
+func fleetID(i int) string {
+	var buf [len("fleet-") + 20]byte
+	pos := len(buf)
+	for n := 0; n < 7 || i > 0; n++ {
+		pos--
+		buf[pos] = byte('0' + i%10)
+		i /= 10
+	}
+	pos -= len("fleet-")
+	copy(buf[pos:], "fleet-")
+	return string(buf[pos:])
+}
+
+// fleetResult samples one server with the given ID: blueprint from the
+// plan tables, then the standard draw/materialize pipeline. The curve
+// solver can reject an (EP target, peak spot) pair as non-monotone;
+// fleets resample the pair rather than fail, since no census depends
+// on the first draw.
+func (g *generator) fleetResult(id string) (*dataset.Result, error) {
 	bp := &blueprint{}
 	bp.year = g.sampleFleetYear()
 	bp.nodes, bp.chips = g.sampleFleetPopulation()
@@ -174,7 +188,7 @@ func (g *generator) fleetResult() (*dataset.Result, error) {
 		bp.spot = g.sampleFleetSpot(bp.year)
 		d, err := g.drawResult(bp)
 		if err == nil {
-			r := materializeResult(bp, d)
+			r := materializeResult(bp, &d, id)
 			if r.HWAvailYear < 2007 {
 				// The benchmark launched in 2007; older hardware is
 				// necessarily published later.

@@ -2,6 +2,8 @@ package synth
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -120,6 +122,31 @@ func TestGenerateFleetShape(t *testing.T) {
 		t.Errorf("2012 share %.2f, want ≈ 0.27", frac)
 	}
 }
+
+// TestFleetIDMatchesSprintf guards the hand-rolled ID formatter against
+// fmt's zero padding, including indices wider than the seven-digit pad.
+func TestFleetIDMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 9, 1023, 1024, 9_999_999, 10_000_000, 123_456_789} {
+		if got, want := fleetID(i), fmt.Sprintf("fleet-%07d", i); got != want {
+			t.Errorf("fleetID(%d) = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// BenchmarkSolveCurve times the curve solver alone over a fixed spread
+// of EP targets and peak spots.
+func BenchmarkSolveCurve(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	spots := []float64{1, 0.9, 0.8, 0.7, 0.6}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ep := 0.3 + 0.8*float64(i%97)/97
+		curveSink = solveCurve(rng, ep, spots[i%len(spots)])
+	}
+}
+
+// curveSink keeps BenchmarkSolveCurve's results live.
+var curveSink normCurve
 
 // TestGenerateFleetStoreMatchesGenerateFleet pins the columnar
 // generator to the result generator: same seed, same servers, same

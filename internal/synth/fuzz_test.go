@@ -61,10 +61,99 @@ func toCore(t *testing.T, c normCurve) *core.Curve {
 	return curve
 }
 
+// The per-candidate reference forms of the solver's shape tests: each
+// re-evaluates cubicShape on the grid for its own (a, b). The solver
+// evaluates a candidate once (shape) and must match these bit for bit.
+
+// shapeCurve builds the normalized curve for shape (a, b) and idle k:
+// p(u) = k + (1-k)·s(u).
+func shapeCurve(a, b, k float64) normCurve {
+	var c normCurve
+	c.idle = k
+	for i, u := range levelGrid {
+		c.levels[i] = k + (1-k)*cubicShape(a, b, u)
+	}
+	return c
+}
+
+// shapeArea returns the trapezoid area of the raw shape s on the grid
+// (with s(0) = 0).
+func shapeArea(a, b float64) float64 {
+	area := 0.1 * cubicShape(a, b, 0.1) / 2
+	for i := 1; i < len(levelGrid); i++ {
+		area += 0.1 * (cubicShape(a, b, levelGrid[i-1]) + cubicShape(a, b, levelGrid[i])) / 2
+	}
+	return area
+}
+
+// idleForEP solves the idle fraction that makes the shape (a, b) hit
+// the target EP exactly, or reports false outside the physical band.
+func idleForEP(a, b, ep float64) (float64, bool) {
+	g := shapeArea(a, b)
+	if g >= 1 {
+		return 0, false
+	}
+	k := (1 - ep/2 - g) / (1 - g)
+	if k < 0.015 || k > 0.93 {
+		return 0, false
+	}
+	return k, true
+}
+
+// shapeAdmissible rejects shapes that are non-monotone or overshoot the
+// 100% power level before full load.
+func shapeAdmissible(a, b float64) bool {
+	prev := 0.0
+	for _, u := range levelGrid {
+		s := cubicShape(a, b, u)
+		if s <= prev || (u < 1 && s >= 1) || s < 0 {
+			return false
+		}
+		prev = s
+	}
+	return true
+}
+
+// peakSpotMargin is the reference peak-spot search: the level
+// maximizing u/p(u) and the best/runner-up ratio, from the curve
+// directly.
+func peakSpotMargin(c normCurve) (spot float64, margin float64) {
+	best, second := -1.0, -1.0
+	for i, u := range levelGrid {
+		e := u / c.levels[i]
+		if e > best {
+			second = best
+			best = e
+			spot = u
+		} else if e > second {
+			second = e
+		}
+	}
+	if second <= 0 {
+		return spot, math.Inf(1)
+	}
+	return spot, best / second
+}
+
+// sameCurve reports whether two curves are equal bit for bit.
+func sameCurve(x, y normCurve) bool {
+	if math.Float64bits(x.idle) != math.Float64bits(y.idle) {
+		return false
+	}
+	for i := range x.levels {
+		if math.Float64bits(x.levels[i]) != math.Float64bits(y.levels[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // FuzzCurveEP drives random admissible curves through both EP
 // implementations: the generator's normalized trapezoid (ep) and the
 // production metric kernel (core.Curve.EP). They must agree to float
-// round-off and stay inside the provable (0, 2) band.
+// round-off and stay inside the provable (0, 2) band. The peak-spot
+// search over the shared efficiency array must match the reference
+// search bit for bit.
 func FuzzCurveEP(f *testing.F) {
 	rp, err := NewRepository(Config{Seed: 1})
 	if err != nil {
@@ -100,6 +189,14 @@ func FuzzCurveEP(f *testing.F) {
 			t.Fatalf("core.Curve.EP %v diverges from normCurve.ep %v (Δ %v)",
 				coreEP, ep, coreEP-ep)
 		}
+		var eff [10]float64
+		c.efficiencies(&eff)
+		spot, best, second := peakSpot(&eff)
+		wantSpot, wantMargin := peakSpotMargin(c)
+		if margin := spotMargin(best, second); spot != wantSpot ||
+			math.Float64bits(margin) != math.Float64bits(wantMargin) {
+			t.Fatalf("peakSpot = (%v, margin %v), reference (%v, %v)", spot, margin, wantSpot, wantMargin)
+		}
 	})
 }
 
@@ -107,7 +204,8 @@ func FuzzCurveEP(f *testing.F) {
 // exact idle-for-EP inversion over the cubic shape family, and the
 // Eq. 2 inversion. Whenever idleForEP accepts a target the resulting
 // curve must hit that EP to round-off, and idleFromEq2 must invert
-// Eq. 2 exactly.
+// Eq. 2 exactly. The solver's one-evaluation shape path must equal the
+// per-(a, b) shapeAdmissible, idleForEP and shapeCurve bit for bit.
 func FuzzIdleForEP(f *testing.F) {
 	rp, err := NewRepository(Config{Seed: 1})
 	if err != nil {
@@ -126,10 +224,23 @@ func FuzzIdleForEP(f *testing.F) {
 			math.Abs(a) > 2 || math.Abs(b) > 2 || ep <= 0.01 || ep >= 1.8 {
 			t.Skip()
 		}
+		var s shape
+		s.eval(a, b)
+		if got, want := s.admissible(), shapeAdmissible(a, b); got != want {
+			t.Fatalf("shape(%v, %v).admissible() = %v, shapeAdmissible = %v", a, b, got, want)
+		}
+		k, ok := idleForEP(a, b, ep)
+		if gotK, gotOK := s.idleForEP(ep); gotOK != ok || math.Float64bits(gotK) != math.Float64bits(k) {
+			t.Fatalf("shape(%v, %v).idleForEP(%v) = (%v, %v), idleForEP = (%v, %v)", a, b, ep, gotK, gotOK, k, ok)
+		}
+		var got normCurve
+		if s.curve(&got, k); !sameCurve(got, shapeCurve(a, b, k)) {
+			t.Fatalf("shape(%v, %v).curve(%v) = %+v, shapeCurve = %+v", a, b, k, got, shapeCurve(a, b, k))
+		}
 		if !shapeAdmissible(a, b) {
 			t.Skip()
 		}
-		if k, ok := idleForEP(a, b, ep); ok {
+		if ok {
 			if k < 0.015 || k > 0.93 {
 				t.Fatalf("idleForEP(%v, %v, %v) = %v outside the physical band", a, b, ep, k)
 			}

@@ -100,7 +100,7 @@ func (g *generator) validResults() ([]*dataset.Result, error) {
 	// parallel on first analysis — so generation never pays for metrics
 	// the caller may not read.
 	results := par.Map(len(blueprints), func(i int) *dataset.Result {
-		return materializeResult(blueprints[i], draws[i])
+		return materializeResult(blueprints[i], &draws[i], submissionID(draws[i].seq))
 	})
 	g.assignPublishedYears(results)
 	return results, nil
@@ -501,7 +501,7 @@ func (g *generator) drawResult(bp *blueprint) (resultDraws, error) {
 	if bp.anchor != nil {
 		d.curve = bp.anchor.curve
 		if bp.anchor.ep > 0 {
-			d.curve = blendToEP(d.curve, bp.anchor.ep)
+			d.curve.blendToEP(bp.anchor.ep)
 		}
 	} else {
 		d.curve = solveCurve(g.rng, bp.epTarget, bp.spot)
@@ -542,10 +542,13 @@ func (g *generator) drawResult(bp *blueprint) (resultDraws, error) {
 	return d, nil
 }
 
+// submissionID is a corpus result's ID: its submission sequence number.
+func submissionID(seq int) string { return fmt.Sprintf("power_ssj2008-%04d", seq) }
+
 // materializeResult is the pure stage: it turns a blueprint plus its
-// recorded draws into a Result without touching the rng, so it is safe
-// to run concurrently for many submissions.
-func materializeResult(bp *blueprint, d resultDraws) *dataset.Result {
+// recorded draws into a Result with the given ID without touching the
+// rng, so it is safe to run concurrently for many submissions.
+func materializeResult(bp *blueprint, d *resultDraws, id string) *dataset.Result {
 	// Peak power scales with the installed hardware.
 	peakWatts := 30 + float64(bp.chips)*(55+35*d.peakRand) +
 		bp.mpc*float64(bp.chips*bp.coresPerChip)*0.35 +
@@ -575,7 +578,7 @@ func materializeResult(bp *blueprint, d resultDraws) *dataset.Result {
 	}
 
 	r := &dataset.Result{
-		ID:               fmt.Sprintf("power_ssj2008-%04d", d.seq),
+		ID:               id,
 		Vendor:           d.vendor,
 		System:           fmt.Sprintf("%s %s%d", d.vendor, d.series, d.seriesNum),
 		FormFactor:       d.form,
@@ -611,7 +614,7 @@ func (g *generator) buildResult(bp *blueprint) (*dataset.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return materializeResult(bp, d), nil
+	return materializeResult(bp, &d, submissionID(d.seq)), nil
 }
 
 var systemSeries = []string{"ProServ ", "PowerRack ", "System x", "Primergy ", "ThinkSystem ", "Express "}
