@@ -698,6 +698,35 @@ func BenchmarkFleetGenerate10k(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetProfile10k times per-server profiling of a 10k-server
+// fleet: the memoized Curve() plus NewProfile, on fresh clones each
+// iteration so every metric cache starts cold.
+func BenchmarkFleetProfile10k(b *testing.B) {
+	rs, err := repro.GenerateFleet(repro.FleetConfig{Seed: 1, Servers: 10_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh := make([]*repro.Result, len(rs))
+		for k, r := range rs {
+			fresh[k] = r.Clone()
+		}
+		b.StartTimer()
+		for _, r := range fresh {
+			c, err := r.Curve()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := repro.NewPlacementProfile(r.ID, c); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // benchmarkFleetRead times parsing a 10k-server corpus from one codec.
 func benchmarkFleetRead(b *testing.B,
 	write func(io.Writer, []*repro.Result) error,

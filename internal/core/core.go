@@ -113,6 +113,10 @@ func (c *Curve) Points() []Point {
 // NumLevels returns the number of points including active idle.
 func (c *Curve) NumLevels() int { return len(c.points) }
 
+// Point returns a copy of point i, 0 ≤ i < NumLevels(): the
+// allocation-free alternative to Points for reading single levels.
+func (c *Curve) Point(i int) Point { return c.points[i] }
+
 // PeakPower returns the power at 100% utilization.
 func (c *Curve) PeakPower() float64 {
 	return c.points[len(c.points)-1].PowerWatts
@@ -137,12 +141,16 @@ func (c *Curve) DynamicRange() float64 {
 // NormalizedPower returns the power at each point divided by the power
 // at 100% utilization, in curve order.
 func (c *Curve) NormalizedPower() []float64 {
-	peak := c.PeakPower()
 	out := make([]float64, len(c.points))
-	for i, p := range c.points {
-		out[i] = p.PowerWatts / peak
+	for i := range c.points {
+		out[i] = c.normPower(i)
 	}
 	return out
+}
+
+// normPower is NormalizedPower's element i, computed without the slice.
+func (c *Curve) normPower(i int) float64 {
+	return c.points[i].PowerWatts / c.PeakPower()
 }
 
 // PowerAt returns the normalized power at utilization u in [0, 1],
@@ -151,25 +159,27 @@ func (c *Curve) PowerAt(u float64) (float64, error) {
 	if u < 0 || u > 1 {
 		return 0, fmt.Errorf("core: utilization %v outside [0, 1]", u)
 	}
-	norm := c.NormalizedPower()
 	for i := 1; i < len(c.points); i++ {
 		lo, hi := c.points[i-1].Utilization, c.points[i].Utilization
 		if u <= hi {
 			frac := (u - lo) / (hi - lo)
-			return norm[i-1] + frac*(norm[i]-norm[i-1]), nil
+			n0, n1 := c.normPower(i-1), c.normPower(i)
+			return n0 + frac*(n1-n0), nil
 		}
 	}
-	return norm[len(norm)-1], nil
+	return c.normPower(len(c.points) - 1), nil
 }
 
 // normalizedArea returns the trapezoid area under the normalized
 // power-utilization curve over [0, 1].
 func (c *Curve) normalizedArea() float64 {
-	norm := c.NormalizedPower()
 	var area float64
+	prev := c.normPower(0)
 	for i := 1; i < len(c.points); i++ {
 		du := c.points[i].Utilization - c.points[i-1].Utilization
-		area += du * (norm[i] + norm[i-1]) / 2
+		cur := c.normPower(i)
+		area += du * (cur + prev) / 2
+		prev = cur
 	}
 	return area
 }
@@ -248,15 +258,24 @@ func (c *Curve) EEValues() []float64 {
 // NormalizedEE returns each point's efficiency divided by the efficiency
 // at 100% utilization — the y-axis of the paper's almond chart (Fig. 11).
 func (c *Curve) NormalizedEE() []float64 {
-	full := c.points[len(c.points)-1].EE()
+	full := c.fullEE()
 	out := make([]float64, len(c.points))
-	if full <= 0 {
-		return out
-	}
-	for i, p := range c.points {
-		out[i] = p.EE() / full
+	for i := range c.points {
+		out[i] = c.normEE(i, full)
 	}
 	return out
+}
+
+// fullEE is the efficiency at 100% utilization.
+func (c *Curve) fullEE() float64 { return c.points[len(c.points)-1].EE() }
+
+// normEE is NormalizedEE's element i, computed without the slice; full
+// is fullEE().
+func (c *Curve) normEE(i int, full float64) float64 {
+	if full <= 0 {
+		return 0
+	}
+	return c.points[i].EE() / full
 }
 
 // OverallEE returns the server's overall performance-to-power ratio —
@@ -285,27 +304,41 @@ const PeakEETolerance = 1e-9
 // levels and every utilization at which it occurs (ties included,
 // ascending). Active idle never qualifies.
 func (c *Curve) PeakEE() (value float64, utilizations []float64) {
+	value = c.peakEEValue()
 	for _, p := range c.points[1:] {
-		if ee := p.EE(); ee > value {
-			value = ee
-		}
-	}
-	for _, p := range c.points[1:] {
-		if ee := p.EE(); ee >= value*(1-PeakEETolerance) {
+		if atPeak(p, value) {
 			utilizations = append(utilizations, p.Utilization)
 		}
 	}
 	return value, utilizations
 }
 
+// peakEEValue is PeakEE's value without the tie utilizations.
+func (c *Curve) peakEEValue() (value float64) {
+	for _, p := range c.points[1:] {
+		if ee := p.EE(); ee > value {
+			value = ee
+		}
+	}
+	return value
+}
+
+// atPeak reports whether p ties the peak efficiency value under
+// PeakEETolerance.
+func atPeak(p Point, value float64) bool {
+	return p.EE() >= value*(1-PeakEETolerance)
+}
+
 // PeakEEUtilization returns the lowest utilization at which the curve
 // attains its peak efficiency.
 func (c *Curve) PeakEEUtilization() float64 {
-	_, utils := c.PeakEE()
-	if len(utils) == 0 {
-		return 0
+	value := c.peakEEValue()
+	for _, p := range c.points[1:] {
+		if atPeak(p, value) {
+			return p.Utilization
+		}
 	}
-	return utils[0]
+	return 0
 }
 
 // PeakEEOffset returns how far the peak-efficiency spot sits below full
@@ -318,12 +351,11 @@ func (c *Curve) PeakEEOffset() float64 {
 // PeakOverFullRatio returns peak efficiency divided by the efficiency at
 // 100% utilization (≥ 1 by construction).
 func (c *Curve) PeakOverFullRatio() float64 {
-	full := c.points[len(c.points)-1].EE()
+	full := c.fullEE()
 	if full <= 0 {
 		return 0
 	}
-	peak, _ := c.PeakEE()
-	return peak / full
+	return c.peakEEValue() / full
 }
 
 // IdealIntersections returns the utilizations in the open interval
@@ -387,40 +419,46 @@ func (iv Interval) Contains(u float64) bool { return u >= iv.Lo && u <= iv.Hi }
 // threshold = 1.0; its "optimal working region" discussion uses the
 // widest such region.
 func (c *Curve) HighEfficiencyRegions(threshold float64) []Interval {
-	ee := c.NormalizedEE()
-	us := make([]float64, len(c.points))
-	for i, p := range c.points {
-		us[i] = p.Utilization
-	}
 	var regions []Interval
+	c.highEfficiencyRegions(threshold, func(r Interval) { regions = append(regions, r) })
+	return regions
+}
+
+// highEfficiencyRegions passes each HighEfficiencyRegions interval to
+// yield in ascending order, without building a slice.
+func (c *Curve) highEfficiencyRegions(threshold float64, yield func(Interval)) {
+	full := c.fullEE()
 	inside := false
 	var start float64
 	// Skip the idle point: efficiency there is zero by definition.
-	for i := 1; i < len(us); i++ {
-		above := ee[i] >= threshold
+	prev := c.normEE(0, full)
+	for i := 1; i < len(c.points); i++ {
+		u0, u1 := c.points[i-1].Utilization, c.points[i].Utilization
+		cur := c.normEE(i, full)
+		above := cur >= threshold
 		if above && !inside {
-			start = us[i]
-			if i > 1 && ee[i-1] < threshold {
+			start = u1
+			if i > 1 && prev < threshold {
 				// Interpolate the entry boundary on the previous segment.
-				t := (threshold - ee[i-1]) / (ee[i] - ee[i-1])
-				start = us[i-1] + t*(us[i]-us[i-1])
+				t := (threshold - prev) / (cur - prev)
+				start = u0 + t*(u1-u0)
 			}
 			inside = true
 		}
 		if !above && inside {
-			end := us[i-1]
-			if ee[i-1] > threshold {
-				t := (ee[i-1] - threshold) / (ee[i-1] - ee[i])
-				end = us[i-1] + t*(us[i]-us[i-1])
+			end := u0
+			if prev > threshold {
+				t := (prev - threshold) / (prev - cur)
+				end = u0 + t*(u1-u0)
 			}
-			regions = append(regions, Interval{Lo: start, Hi: end})
+			yield(Interval{Lo: start, Hi: end})
 			inside = false
 		}
+		prev = cur
 	}
 	if inside {
-		regions = append(regions, Interval{Lo: start, Hi: 1})
+		yield(Interval{Lo: start, Hi: 1})
 	}
-	return regions
 }
 
 // WidestHighEfficiencyRegion returns the widest interval from
@@ -428,12 +466,12 @@ func (c *Curve) HighEfficiencyRegions(threshold float64) []Interval {
 func (c *Curve) WidestHighEfficiencyRegion(threshold float64) (Interval, bool) {
 	var best Interval
 	found := false
-	for _, r := range c.HighEfficiencyRegions(threshold) {
+	c.highEfficiencyRegions(threshold, func(r Interval) {
 		if !found || r.Width() > best.Width() {
 			best = r
 			found = true
 		}
-	}
+	})
 	return best, found
 }
 

@@ -294,6 +294,37 @@ func TestPeakEETie(t *testing.T) {
 	}
 }
 
+// TestMetricsAllocationFree pins the scalar metrics the fleet pipeline
+// reads per server to zero heap allocations: they walk the points in
+// place rather than building normalized slices.
+func TestMetricsAllocationFree(t *testing.T) {
+	watts := []float64{40, 50, 60, 70, 80, 90, 95, 100, 112.5, 160}
+	ops := []float64{100, 200, 300, 400, 500, 600, 700, 900, 1012.5, 1000}
+	c, err := NewStandardCurve(30, watts, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink float64
+	for _, m := range []struct {
+		name string
+		fn   func()
+	}{
+		{"EP", func() { sink += c.EP() }},
+		{"LinearDeviation", func() { sink += c.LinearDeviation() }},
+		{"PowerAt", func() { v, _ := c.PowerAt(0.55); sink += v }},
+		{"PeakEEUtilization", func() { sink += c.PeakEEUtilization() }},
+		{"PeakOverFullRatio", func() { sink += c.PeakOverFullRatio() }},
+		{"WidestHighEfficiencyRegion", func() { r, _ := c.WidestHighEfficiencyRegion(0.985); sink += r.Hi }},
+	} {
+		if n := testing.AllocsPerRun(100, m.fn); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", m.name, n)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("metrics summed to zero")
+	}
+}
+
 func TestNormalizedEE(t *testing.T) {
 	c := linearCurve(t, 0.5, 100, 1000)
 	norm := c.NormalizedEE()

@@ -91,6 +91,21 @@ func TestOptimalEEMatchesEEAt(t *testing.T) {
 	}
 }
 
+// TestNewProfileAllocs bounds profile construction to the Profile and
+// its two lookup-table slices: the curve metrics it reads allocate
+// nothing.
+func TestNewProfileAllocs(t *testing.T) {
+	c := lutProfile(t).Curve
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := NewProfile("allocs", c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 3 {
+		t.Errorf("NewProfile: %v allocations, want ≤ 3", n)
+	}
+}
+
 // TestNewProfileRejectsInvalidPeak covers the satellite fix: what used
 // to be a silent PeakPower fallback in the hot path is now a
 // constructor validation failure.

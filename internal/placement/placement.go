@@ -82,8 +82,8 @@ func NewProfile(id string, curve *core.Curve) (*Profile, error) {
 	if curve == nil {
 		return nil, errors.New("placement: nil curve")
 	}
-	pts := curve.Points()
-	maxOps := pts[len(pts)-1].OpsPerSec
+	n := curve.NumLevels()
+	maxOps := curve.Point(n - 1).OpsPerSec
 	if maxOps <= 0 {
 		return nil, fmt.Errorf("placement: server %s has no throughput at full load", id)
 	}
@@ -97,12 +97,12 @@ func NewProfile(id string, curve *core.Curve) (*Profile, error) {
 		MaxOps:             maxOps,
 		EP:                 curve.EP(),
 		OptimalUtilization: curve.PeakEEUtilization(),
-		lutUtil:            make([]float64, len(pts)),
+		lutUtil:            make([]float64, n),
 		lutNorm:            curve.NormalizedPower(),
 		peakW:              peakW,
 	}
-	for i, pt := range pts {
-		p.lutUtil[i] = pt.Utilization
+	for i := range p.lutUtil {
+		p.lutUtil[i] = curve.Point(i).Utilization
 	}
 	peakNorm := curve.PeakOverFullRatio()
 	if region, ok := curve.WidestHighEfficiencyRegion(peakNorm * regionThreshold); ok {
