@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"compress/gzip"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -468,5 +470,25 @@ func TestSummaryEndpoint(t *testing.T) {
 	w := get(t, s, "/api/v1/summary", nil)
 	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), want) {
 		t.Fatalf("summary: status %d, match=%v", w.Code, bytes.Equal(w.Body.Bytes(), want))
+	}
+}
+
+// TestServersBodiesPinned pins the sha256 of the seed-1
+// /api/v1/servers bodies: unfiltered, by year and by architecture.
+func TestServersBodiesPinned(t *testing.T) {
+	s := newTestServer(t)
+	for _, tc := range []struct{ target, want string }{
+		{"/api/v1/servers", "a059353fe83de4592645d71c41c55f122b601f2a61857e5e02d4fefad9b57664"},
+		{"/api/v1/servers?year=2016", "79a65b96059ade52447e193d0cdf5c770fda2fb2d0828a43fc6e1302239e006d"},
+		{"/api/v1/servers?arch=haswell", "e1b3b5c59784c0024fd5457bfed58e18394bebc0d1d07bc4852c748f1416fac0"},
+	} {
+		w := get(t, s, tc.target, nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.target, w.Code)
+		}
+		sum := sha256.Sum256(w.Body.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("%s: body sha256 %s, want %s", tc.target, got, tc.want)
+		}
 	}
 }
