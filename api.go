@@ -61,20 +61,19 @@ type (
 
 // NewRepository wraps results in a repository.
 //
-// Repositories memoize aggressively: every Result caches its validated
-// curve and derived metrics (EP, overall EE, peak EE, idle fraction,
-// dynamic range) on first access, and the repository additionally keeps
-// index-aligned metric columns that EPs, OverallEEs, SortByEP, and the
-// envelope/correlation analyses read directly. Caches build themselves
-// lazily and in parallel; call PrecomputeMetrics to pay the cold cost up
-// front. Results must not be mutated after construction — Clone a
-// result to obtain an independently mutable copy with a fresh cache.
+// The repository ingests the results into a column store whose derived
+// metric columns (EP, overall EE, peak EE, idle fraction, dynamic
+// range, …) EPs, OverallEEs, SortByEP and the analyses read directly.
+// One columnar kernel computes those columns, lazily and in parallel,
+// on first use; call PrecomputeMetrics to pay the cold cost up front.
+// A Result's own metric accessors rebuild its curve on every call.
+// Results must not be mutated after construction — Clone a result to
+// obtain an independently mutable copy.
 func NewRepository(results []*Result) *Repository { return dataset.NewRepository(results) }
 
-// PrecomputeMetrics eagerly builds rp's cached metric columns (and each
-// result's memoized metric bundle) across all CPUs, so subsequent
-// analyses run entirely on warm caches. Optional: every accessor builds
-// the caches on first use anyway.
+// PrecomputeMetrics eagerly builds rp's derived metric columns across
+// all CPUs, so subsequent analyses read them without a cold build.
+// Optional: every accessor builds the columns on first use anyway.
 func PrecomputeMetrics(rp *Repository) { rp.Precompute() }
 
 // Validate checks one result against the SPEC compliance rules.

@@ -699,8 +699,8 @@ func BenchmarkFleetGenerate10k(b *testing.B) {
 }
 
 // BenchmarkFleetProfile10k times per-server profiling of a 10k-server
-// fleet: the memoized Curve() plus NewProfile, on fresh clones each
-// iteration so every metric cache starts cold.
+// fleet: Curve(), which builds a fresh curve on every call, plus
+// NewProfile.
 func BenchmarkFleetProfile10k(b *testing.B) {
 	rs, err := repro.GenerateFleet(repro.FleetConfig{Seed: 1, Servers: 10_000})
 	if err != nil {
@@ -709,13 +709,7 @@ func BenchmarkFleetProfile10k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		fresh := make([]*repro.Result, len(rs))
-		for k, r := range rs {
-			fresh[k] = r.Clone()
-		}
-		b.StartTimer()
-		for _, r := range fresh {
+		for _, r := range rs {
 			c, err := r.Curve()
 			if err != nil {
 				b.Fatal(err)

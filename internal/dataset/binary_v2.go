@@ -243,7 +243,7 @@ func ReadColumns(r io.Reader) (*ColumnStore, error) {
 	}
 	switch version {
 	case binaryVersion:
-		b := NewColumnBuilder(0, 0, false)
+		b := NewColumnBuilder(0, 0)
 		rr := &BinaryReader{r: br}
 		for {
 			res, err := rr.Read()
@@ -328,7 +328,7 @@ func ReadColumnsBytes(data []byte) (*ColumnStore, error) {
 
 func decodeColumnsV2Bytes(body []byte) (*ColumnStore, error) {
 	rowsHint, levelsHint := prescanColumnsV2(body)
-	cs := NewColumnBuilder(rowsHint, levelsHint, false).cs
+	cs := NewColumnBuilder(rowsHint, levelsHint).cs
 	src := &byteSections{body: body}
 	for src.off < len(body) {
 		rows, n := binary.Uvarint(body[src.off:])

@@ -63,8 +63,8 @@ type ColumnStore struct {
 }
 
 // derivedColumns is the metric layer computed from the raw columns: the
-// exact scalars Result's memoized bundle holds, plus flattened per-level
-// efficiency and peak-spot arrays, plus validity flags.
+// scalars the core.Curve accessors return for each row, plus flattened
+// per-level efficiency and peak-spot arrays, plus validity flags.
 type derivedColumns struct {
 	eps          []float64
 	ees          []float64
@@ -144,10 +144,6 @@ func (cs *ColumnStore) AllCurvesOK() bool { return cs.derivedCols().allCurvesOK 
 // AllCompliant reports whether every row passes Validate.
 func (cs *ColumnStore) AllCompliant() bool { return cs.derivedCols().allCompliant }
 
-// MetricsBuilt reports whether the derived layer has been computed,
-// without triggering the build.
-func (cs *ColumnStore) MetricsBuilt() bool { return cs.derived.Load() != nil }
-
 // Memoize returns the store-lifetime cached value under key, building
 // and publishing it on first use. The store is immutable, so any
 // deterministic function of its columns may be cached this way; report
@@ -165,9 +161,9 @@ func (cs *ColumnStore) Memoize(key string, build func() any) any {
 	return v
 }
 
-// Result materializes row i as a standalone *Result with a fresh metric
-// cache. The returned result is an adapter view: it carries copies of
-// the row's fields, so mutating it never affects the store.
+// Result materializes row i as a standalone *Result. The returned
+// result is an adapter view: it carries copies of the row's fields, so
+// mutating it never affects the store.
 func (cs *ColumnStore) Result(i int) *Result {
 	lo, hi := cs.levelOff[i], cs.levelOff[i+1]
 	levels := make([]LoadLevel, hi-lo)
@@ -208,23 +204,13 @@ func (cs *ColumnStore) Materialize() []*Result {
 	return par.Map(cs.n, cs.Result)
 }
 
-// derivedCols returns the metric layer, building it on first use from
-// transient row views.
+// derivedCols returns the metric layer, running the columnar kernel
+// (derive.go) over the raw columns on first use. Concurrent first
+// callers are serialized; the winner publishes atomically.
 func (cs *ColumnStore) derivedCols() *derivedColumns {
 	if d := cs.derived.Load(); d != nil {
 		return d
 	}
-	return cs.buildDerived(nil)
-}
-
-// buildDerived computes the derived metric layer. Column-born stores
-// run the allocation-free columnar kernel (derive.go) straight over the
-// raw columns. When rows is non-nil it must be the index-aligned
-// []*Result the store was built from; the build then reads each
-// result's memoized bundle (sharing warm caches) — bit-identical to the
-// kernel by the differential tests in derive_test.go. Concurrent
-// callers are serialized; the winner publishes atomically.
-func (cs *ColumnStore) buildDerived(rows []*Result) *derivedColumns {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if d := cs.derived.Load(); d != nil {
@@ -242,54 +228,10 @@ func (cs *ColumnStore) buildDerived(rows []*Result) *derivedColumns {
 		linearDevs:   make([]float64, n),
 		levelEE:      make([]float64, cs.Levels()),
 		spotOff:      make([]int32, n+1),
-		spots:        nil,
 		curveOK:      make([]bool, n),
 		compliant:    make([]bool, n),
 	}
-	if rows == nil {
-		// No materialized rows to share caches with: run the columnar
-		// kernel (derive.go) straight over the raw columns.
-		cs.fillDerivedColumnar(d)
-		cs.derived.Store(d)
-		return d
-	}
-	// Per-row spot lists reference the memoized bundles until the
-	// sequential flattening pass below.
-	tmpSpots := make([][]float64, n)
-	par.ForEach(n, func(i int) {
-		r := rows[i]
-		m := r.cached()
-		d.curveOK[i] = m.err == nil
-		d.eps[i] = m.ep
-		d.ees[i] = m.overallEE
-		d.peakEEs[i] = m.peakEE
-		if len(m.peakEEUtils) > 0 {
-			d.peakEEUtils[i] = m.peakEEUtils[0]
-		}
-		d.idleFracs[i] = m.idleFraction
-		d.dynRanges[i] = m.dynamicRange
-		d.peakOverFull[i] = m.peakOverFull
-		d.linearDevs[i] = m.linearDev
-		tmpSpots[i] = m.peakEEUtils
-		d.compliant[i] = IsCompliant(r)
-		for j := cs.levelOff[i]; j < cs.levelOff[i+1]; j++ {
-			if w := cs.levelPower[j]; w > 0 {
-				d.levelEE[j] = cs.levelOps[j] / w
-			}
-		}
-	})
-	total := 0
-	d.allCurvesOK, d.allCompliant = true, true
-	for i := 0; i < n; i++ {
-		total += len(tmpSpots[i])
-		d.spotOff[i+1] = int32(total)
-		d.allCurvesOK = d.allCurvesOK && d.curveOK[i]
-		d.allCompliant = d.allCompliant && d.compliant[i]
-	}
-	d.spots = make([]float64, 0, total)
-	for _, s := range tmpSpots {
-		d.spots = append(d.spots, s...)
-	}
+	cs.fillDerivedColumnar(d)
 	cs.derived.Store(d)
 	return d
 }
@@ -304,20 +246,16 @@ func (cs *ColumnStore) CurveErr(i int) error {
 	return err
 }
 
-// ColumnBuilder accumulates results into a ColumnStore row by row.
-// When derived is requested, each appended result's memoized metric
-// bundle is captured alongside the raw fields, so stores built during
-// generation carry their metric layer with no second pass.
+// ColumnBuilder accumulates results' raw fields into a ColumnStore row
+// by row; the derived layer builds on first use.
 type ColumnBuilder struct {
-	cs          *ColumnStore
-	d           *derivedColumns
-	withDerived bool
+	cs *ColumnStore
 }
 
 // NewColumnBuilder returns a builder with capacity hints for rows and
 // flattened levels (either may be zero).
-func NewColumnBuilder(rowCap, levelCap int, withDerived bool) *ColumnBuilder {
-	b := &ColumnBuilder{
+func NewColumnBuilder(rowCap, levelCap int) *ColumnBuilder {
+	return &ColumnBuilder{
 		cs: &ColumnStore{
 			ids:          make([]string, 0, rowCap),
 			vendors:      make([]string, 0, rowCap),
@@ -343,16 +281,7 @@ func NewColumnBuilder(rowCap, levelCap int, withDerived bool) *ColumnBuilder {
 			levelOps:     make([]float64, 0, levelCap),
 			levelPower:   make([]float64, 0, levelCap),
 		},
-		withDerived: withDerived,
 	}
-	if withDerived {
-		b.d = &derivedColumns{
-			spotOff:      append(make([]int32, 0, rowCap+1), 0),
-			allCurvesOK:  true,
-			allCompliant: true,
-		}
-	}
-	return b
 }
 
 // Append adds one result's fields as a new row.
@@ -384,69 +313,27 @@ func (b *ColumnBuilder) Append(r *Result) {
 	}
 	cs.levelOff = append(cs.levelOff, int32(len(cs.levelTarget)))
 	cs.n++
-	if b.withDerived {
-		b.appendDerived(r)
-	}
-}
-
-func (b *ColumnBuilder) appendDerived(r *Result) {
-	d := b.d
-	m := r.cached()
-	ok := m.err == nil
-	d.curveOK = append(d.curveOK, ok)
-	d.allCurvesOK = d.allCurvesOK && ok
-	d.eps = append(d.eps, m.ep)
-	d.ees = append(d.ees, m.overallEE)
-	d.peakEEs = append(d.peakEEs, m.peakEE)
-	first := 0.0
-	if len(m.peakEEUtils) > 0 {
-		first = m.peakEEUtils[0]
-	}
-	d.peakEEUtils = append(d.peakEEUtils, first)
-	d.idleFracs = append(d.idleFracs, m.idleFraction)
-	d.dynRanges = append(d.dynRanges, m.dynamicRange)
-	d.peakOverFull = append(d.peakOverFull, m.peakOverFull)
-	d.linearDevs = append(d.linearDevs, m.linearDev)
-	for _, lv := range r.Levels {
-		ee := 0.0
-		if lv.AvgPowerWatts > 0 {
-			ee = lv.OpsPerSec / lv.AvgPowerWatts
-		}
-		d.levelEE = append(d.levelEE, ee)
-	}
-	d.spots = append(d.spots, m.peakEEUtils...)
-	d.spotOff = append(d.spotOff, int32(len(d.spots)))
-	compliant := IsCompliant(r)
-	d.compliant = append(d.compliant, compliant)
-	d.allCompliant = d.allCompliant && compliant
 }
 
 // Store finalizes the builder. The builder must not be used afterwards.
-func (b *ColumnBuilder) Store() *ColumnStore {
-	if b.withDerived {
-		b.cs.derived.Store(b.d)
-	}
-	return b.cs
-}
+func (b *ColumnBuilder) Store() *ColumnStore { return b.cs }
 
-// BuildColumns converts results into a ColumnStore, computing the
-// derived metric layer in parallel from each result's memoized bundle
-// (results with warm caches contribute them for free).
+// BuildColumns converts results into a ColumnStore and runs the
+// columnar kernel over it, so the derived metric layer is built.
 func BuildColumns(results []*Result) *ColumnStore {
 	cs := buildRawColumns(results)
-	cs.buildDerived(results)
+	cs.derivedCols()
 	return cs
 }
 
 // buildRawColumns copies the raw disclosure fields into columns without
 // touching metrics.
 func buildRawColumns(results []*Result) *ColumnStore {
-	n := len(results)
 	levels := 0
 	for _, r := range results {
 		levels += len(r.Levels)
 	}
-	b := NewColumnBuilder(n, levels, false)
+	b := NewColumnBuilder(len(results), levels)
 	for _, r := range results {
 		b.Append(r)
 	}
@@ -584,8 +471,7 @@ func ConcatColumns(stores []*ColumnStore) *ColumnStore {
 			spotTotal += len(d.spots)
 		}
 	}
-	b := NewColumnBuilder(rows, levels, false)
-	out := b.cs
+	out := NewColumnBuilder(rows, levels).cs
 	var od *derivedColumns
 	if withDerived {
 		od = &derivedColumns{

@@ -71,7 +71,7 @@ func levelEEAt(ops, watts float64) float64 {
 // flags, and per-level efficiencies, returning the number of
 // peak-efficiency spots (PeakEE ties included). Metrics stay zero for
 // rows whose curve fails core.NewCurve validation, matching the
-// zero-on-invalid contract of the memoized Result bundle.
+// zero-on-invalid contract of the Result metric accessors.
 func (cs *ColumnStore) deriveRow(i int, d *derivedColumns) (spots int) {
 	lo, hi := cs.levelOff[i], cs.levelOff[i+1]
 	nl := int(hi - lo)
@@ -112,7 +112,10 @@ func (cs *ColumnStore) deriveRow(i int, d *derivedColumns) (spots int) {
 		ops += cs.levelOps[j]
 		watts += cs.levelPower[j]
 	}
-	if watts > 0 {
+	// The guards here and below are core.Curve's "<= 0 → 0", negated
+	// rather than flipped to "> 0", so NaN sums propagate as they do
+	// there.
+	if !(watts <= 0) {
 		d.ees[i] = ops / watts
 	}
 
@@ -140,7 +143,7 @@ func (cs *ColumnStore) deriveRow(i int, d *derivedColumns) (spots int) {
 	idleFrac := idleW / peakW
 	d.idleFracs[i] = idleFrac
 	d.dynRanges[i] = 1 - idleFrac
-	if full := levelEEAt(cs.levelOps[hi-1], cs.levelPower[hi-1]); full > 0 {
+	if full := levelEEAt(cs.levelOps[hi-1], cs.levelPower[hi-1]); !(full <= 0) {
 		d.peakOverFull[i] = peak / full
 	}
 	d.linearDevs[i] = area - (idleFrac+1)/2

@@ -37,15 +37,11 @@ func memoResult(id string, idle float64) *Result {
 	}
 }
 
-// TestMetricsMemoized checks that repeated accessors return the same
-// values and the same (shared) curve pointer.
+// TestMetricsMemoized checks that the metric accessors return the
+// values of the result's curve.
 func TestMetricsMemoized(t *testing.T) {
 	r := memoResult("memo-1", 60)
 	c1 := r.MustCurve()
-	c2 := r.MustCurve()
-	if c1 != c2 {
-		t.Fatalf("MustCurve returned distinct curves across calls: %p vs %p", c1, c2)
-	}
 	if r.EP() != c1.EP() {
 		t.Fatalf("memoized EP %.6f != curve EP %.6f", r.EP(), c1.EP())
 	}
@@ -54,8 +50,7 @@ func TestMetricsMemoized(t *testing.T) {
 	}
 }
 
-// TestMetricsInvalidCurve checks the zero-on-invalid contract survives
-// memoization.
+// TestMetricsInvalidCurve checks the zero-on-invalid contract.
 func TestMetricsInvalidCurve(t *testing.T) {
 	r := memoResult("memo-bad", 60)
 	r.Levels = r.Levels[:3] // too few levels: curve construction fails
@@ -66,17 +61,12 @@ func TestMetricsInvalidCurve(t *testing.T) {
 		t.Fatalf("invalid result must report zero metrics, got EP=%v EE=%v idle=%v",
 			r.EP(), r.OverallEE(), r.IdleFraction())
 	}
-	// The error must be memoized too: a second call returns the same.
-	_, err1 := r.Curve()
-	_, err2 := r.Curve()
-	if err1 != err2 {
-		t.Fatalf("curve error not memoized: %v vs %v", err1, err2)
-	}
 }
 
-// TestConcurrentMetricAccess hammers the metric accessors from many
-// goroutines. Run with -race: the memo publication must be safe even
-// when every goroutine races on a cold cache.
+// TestConcurrentMetricAccess hammers the metric accessors and the
+// repository's derived columns from many goroutines. Run with -race:
+// the column publication must be safe even when every goroutine races
+// on a cold store.
 func TestConcurrentMetricAccess(t *testing.T) {
 	results := make([]*Result, 32)
 	for i := range results {
@@ -112,9 +102,9 @@ func TestConcurrentMetricAccess(t *testing.T) {
 	}
 }
 
-// TestCloneDoesNotShareCache verifies the memoization invalidation
-// contract: a clone computes metrics from its own (possibly mutated)
-// fields, and mutating the clone never disturbs the original's cache.
+// TestCloneDoesNotShareCache verifies that a clone computes metrics
+// from its own (possibly mutated) fields, and that mutating the clone
+// never disturbs the original.
 func TestCloneDoesNotShareCache(t *testing.T) {
 	orig := memoResult("clone-src", 60)
 	epBefore := orig.EP() // warm the original's cache first
@@ -133,8 +123,7 @@ func TestCloneDoesNotShareCache(t *testing.T) {
 	if orig.EP() != epBefore {
 		t.Fatalf("original EP changed after clone mutation: %.6f vs %.6f", orig.EP(), epBefore)
 	}
-	// And the mutated original fields stay frozen in its cache: the
-	// original's curve still reflects the pre-clone state.
+	// The original's curve still reflects its own, unmutated fields.
 	if got := orig.MustCurve().IdleFraction(); math.Abs(got-60.0/200.0) > 1e-12 {
 		t.Fatalf("original idle fraction drifted: %v", got)
 	}
@@ -154,6 +143,93 @@ func TestRepositoryColumnsInvalidatedByAdd(t *testing.T) {
 	}
 	if eps[0] == eps[1] {
 		t.Fatalf("distinct idle power must give distinct EPs, got %v", eps)
+	}
+}
+
+// TestCloneConcurrentWithMetrics clones fresh results while another
+// goroutine reads their metrics. Run with -race: Clone must not race
+// with a concurrent metric computation on its source.
+func TestCloneConcurrentWithMetrics(t *testing.T) {
+	for i := 0; i < 64; i++ {
+		r := memoResult("clone-race", 40+float64(i))
+		var wg sync.WaitGroup
+		var ep, cloneEP float64
+		wg.Add(2)
+		go func() { defer wg.Done(); ep = r.EP() }()
+		go func() { defer wg.Done(); cloneEP = r.Clone().EP() }()
+		wg.Wait()
+		if ep != cloneEP {
+			t.Fatalf("result %d: clone EP %v != source EP %v", i, cloneEP, ep)
+		}
+	}
+}
+
+// TestFiltersKeepRowIdentity checks how every filter treats row views:
+// on a result-born repository each filter returns the very *Result
+// pointers All() holds, and on a column-born repository the columnar
+// filters leave the row views unmaterialized.
+func TestFiltersKeepRowIdentity(t *testing.T) {
+	var results []*Result
+	for i := 0; i < 12; i++ {
+		r := memoResult(string(rune('a'+i)), 30+5*float64(i))
+		r.HWAvailYear = 2010 + i%4
+		r.PublishedYear = 2012
+		r.PublishedQuarter, r.HWAvailQuarter = 1, 1
+		if i%3 == 0 {
+			r.Nodes, r.Chips = 2, 4
+		}
+		if i%5 == 0 {
+			r.Levels[4].ActualLoad = 0.9 // non-compliant
+		}
+		results = append(results, r)
+	}
+	filters := []struct {
+		name     string
+		apply    func(*Repository) *Repository
+		needRows bool
+	}{
+		{"Valid", (*Repository).Valid, false},
+		{"NonCompliant", (*Repository).NonCompliant, false},
+		{"YearRange", func(rp *Repository) *Repository { return rp.YearRange(2011, 2012) }, false},
+		{"SingleNode", (*Repository).SingleNode, false},
+		{"MultiNode", (*Repository).MultiNode, false},
+		{"YearMismatched", (*Repository).YearMismatched, false},
+		{"Filter", func(rp *Repository) *Repository {
+			return rp.Filter(func(r *Result) bool { return r.ActiveIdleWatts > 50 })
+		}, true},
+	}
+
+	rowBorn := NewRepository(results)
+	byID := make(map[string]*Result)
+	for _, r := range rowBorn.All() {
+		byID[r.ID] = r
+	}
+	for _, f := range filters {
+		sub := f.apply(rowBorn)
+		if sub.Len() == 0 || sub.Len() == rowBorn.Len() {
+			t.Fatalf("%s: kept %d of %d rows; the corpus must exercise a real selection",
+				f.name, sub.Len(), rowBorn.Len())
+		}
+		ids := sub.IDs()
+		for i, r := range sub.All() {
+			if byID[r.ID] != r {
+				t.Errorf("%s: row %s is a copy, not the pointer All() holds", f.name, r.ID)
+			}
+			if ids[i] != r.ID {
+				t.Errorf("%s: store row %d is %s, row view is %s", f.name, i, ids[i], r.ID)
+			}
+		}
+	}
+
+	for _, f := range filters {
+		colBorn := NewColumnRepository(BuildColumns(results))
+		sub := f.apply(colBorn)
+		if f.needRows {
+			continue // Filter's predicate takes row views by definition
+		}
+		if sub.state.Load().rows != nil || colBorn.state.Load().rows != nil {
+			t.Errorf("%s: column-born filter materialized row views", f.name)
+		}
 	}
 }
 

@@ -13,15 +13,15 @@ import (
 // and grouping operations the analyses use. It stores pointers; callers
 // must not mutate results after adding them.
 //
-// The primary representation is the columnar ColumnStore: metric
-// accessors (EPs, OverallEEs, SortByEP, …) and the internal analyses
-// read struct-of-arrays columns, while All and the grouping helpers
-// materialize []*Result adapter views lazily. A repository born from
-// results builds its columns on first columnar access (sharing each
-// result's memoized metric bundle); a repository born from a
-// ColumnStore materializes result views on first row access.
+// Every repository holds a ColumnStore: metric accessors (EPs,
+// OverallEEs, SortByEP, …) and the internal analyses read its
+// struct-of-arrays columns, whose derived metric layer the columnar
+// kernel builds once on first use. A repository born from results
+// ingests them into its store at construction and keeps the result
+// pointers as its rows; a repository born from a ColumnStore
+// materializes row views on first row access.
 //
-// Concurrency contract: the repository state (results + columns) is an
+// Concurrency contract: the repository state (store + rows) is an
 // immutable snapshot behind an atomic pointer. Readers never block and
 // never observe a half-updated state. Add publishes a brand-new
 // snapshot; readers that loaded the old snapshot keep reading the old
@@ -32,117 +32,90 @@ type Repository struct {
 	state atomic.Pointer[repoState]
 }
 
-// repoState is one immutable snapshot. Exactly one of results/store may
-// be nil: nil results means "not materialized yet" (column-born), nil
-// store means "columns not built yet" (result-born). Lazy fills publish
-// a new snapshot via CompareAndSwap, so a snapshot's fields never
-// change after publication.
+// repoState is one immutable snapshot. store is never nil; rows is nil
+// until the row views are materialized (column-born repositories) and
+// then index-aligned with the store. The one lazy fill publishes a new
+// snapshot via CompareAndSwap, so a snapshot's fields never change
+// after publication.
 type repoState struct {
-	results []*Result
-	store   *ColumnStore
+	rows  []*Result
+	store *ColumnStore
 }
 
-func newRepoState(results []*Result, store *ColumnStore) *Repository {
+func newRepo(rows []*Result, store *ColumnStore) *Repository {
 	rp := &Repository{}
-	rp.state.Store(&repoState{results: results, store: store})
+	rp.state.Store(&repoState{rows: rows, store: store})
 	return rp
 }
 
-// NewRepository builds a repository over the given results.
+// NewRepository builds a repository over the given results, ingesting
+// their fields into its column store.
 func NewRepository(results []*Result) *Repository {
 	rs := make([]*Result, len(results))
 	copy(rs, results)
-	return newRepoState(rs, nil)
+	return newRepo(rs, buildRawColumns(rs))
 }
 
 // NewColumnRepository builds a repository directly over a column store;
 // []*Result views materialize lazily on first row access.
 func NewColumnRepository(cs *ColumnStore) *Repository {
-	return newRepoState(nil, cs)
+	return newRepo(nil, cs)
 }
 
 // Add appends results, publishing a new state snapshot. Concurrent
 // readers holding the previous snapshot (including its metric columns)
 // keep a consistent view of the repository as it was before Add; the
-// columns rebuild lazily for the new snapshot.
+// derived columns rebuild lazily for the new snapshot.
 func (rp *Repository) Add(results ...*Result) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	base := rp.resultsSlice()
-	merged := make([]*Result, 0, len(base)+len(results))
-	merged = append(merged, base...)
-	merged = append(merged, results...)
-	rp.state.Store(&repoState{results: merged})
+	st := rp.withRows()
+	rows := make([]*Result, 0, len(st.rows)+len(results))
+	rows = append(rows, st.rows...)
+	rows = append(rows, results...)
+	store := ConcatColumns([]*ColumnStore{st.store, buildRawColumns(results)})
+	rp.state.Store(&repoState{rows: rows, store: store})
 }
 
-// resultsSlice returns the materialized []*Result view, building and
-// publishing it on first use for column-born repositories. The returned
-// slice is shared: callers must not mutate it.
-func (rp *Repository) resultsSlice() []*Result {
+// withRows returns the current snapshot with its row views
+// materialized, building and publishing them on first use for
+// column-born repositories. The rows are shared: callers must not
+// mutate the slice.
+func (rp *Repository) withRows() *repoState {
 	st := rp.state.Load()
-	if st.results != nil {
-		return st.results
+	if st.rows != nil {
+		return st
 	}
-	mat := st.store.Materialize()
-	if mat == nil {
-		mat = []*Result{}
+	rows := st.store.Materialize()
+	if rows == nil {
+		rows = []*Result{}
 	}
-	rp.state.CompareAndSwap(st, &repoState{results: mat, store: st.store})
-	// If another goroutine won the race, adopt its view so row pointer
+	next := &repoState{rows: rows, store: st.store}
+	if rp.state.CompareAndSwap(st, next) {
+		return next
+	}
+	// Another goroutine won the race: adopt its view so row pointer
 	// identity stays stable across calls.
-	if cur := rp.state.Load(); cur.results != nil && cur.store == st.store {
-		return cur.results
+	if cur := rp.state.Load(); cur.rows != nil && cur.store == st.store {
+		return cur
 	}
-	return mat
-}
-
-// columns returns the raw column store, building and publishing it on
-// first use for result-born repositories.
-func (rp *Repository) columns() *ColumnStore {
-	st := rp.state.Load()
-	if st.store != nil {
-		return st.store
-	}
-	cs := buildRawColumns(st.results)
-	rp.state.CompareAndSwap(st, &repoState{results: st.results, store: cs})
-	if cur := rp.state.Load(); cur.store != nil && sameResults(cur.results, st.results) {
-		return cur.store
-	}
-	return cs
-}
-
-func sameResults(a, b []*Result) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// metricStore returns the column store with its derived metric layer
-// built. For result-born repositories the build reads each result's
-// memoized bundle, so warm caches are shared rather than recomputed.
-func (rp *Repository) metricStore() *ColumnStore {
-	st := rp.state.Load()
-	cs := st.store
-	if cs == nil {
-		cs = rp.columns()
-	}
-	if !cs.MetricsBuilt() {
-		cs.buildDerived(st.results)
-	}
-	return cs
+	return next
 }
 
 // Columns returns the repository's column store with the derived metric
 // layer built. The store and every column it exposes are read-only; the
 // analyses iterate these columns directly instead of walking []*Result.
 func (rp *Repository) Columns() *ColumnStore {
-	return rp.metricStore()
+	cs := rp.state.Load().store
+	cs.derivedCols()
+	return cs
 }
 
-// Precompute eagerly builds the metric columns (and thereby every
-// result's memoized metric bundle) in parallel. It is never required —
-// the columns build themselves on first use — but lets callers pay the
-// cold cost up front, e.g. before serving queries.
+// Precompute eagerly builds the derived metric columns in parallel. It
+// is never required — the columns build themselves on first use — but
+// lets callers pay the cold cost up front, e.g. before serving queries.
 func (rp *Repository) Precompute() {
-	rp.metricStore()
+	rp.Columns()
 }
 
 func copyColumn(col []float64) []float64 {
@@ -151,59 +124,54 @@ func copyColumn(col []float64) []float64 {
 
 // Len returns the number of stored results.
 func (rp *Repository) Len() int {
-	st := rp.state.Load()
-	if st.results != nil {
-		return len(st.results)
-	}
-	return st.store.Len()
+	return rp.state.Load().store.Len()
 }
 
 // At returns the result at index i (repository order). Column-born
 // repositories materialize the row views on first access.
 func (rp *Repository) At(i int) *Result {
-	return rp.resultsSlice()[i]
+	return rp.withRows().rows[i]
 }
 
 // All returns the stored results (shared pointers, fresh slice).
 func (rp *Repository) All() []*Result {
-	return append([]*Result(nil), rp.resultsSlice()...)
+	return append([]*Result(nil), rp.withRows().rows...)
 }
 
 // Valid returns a repository containing only compliant results — the
-// paper's 517 → 477 step. Validation builds each result's curve, so the
-// check fans out across CPUs; repository order is preserved.
+// paper's 517 → 477 step, read from the compliance column.
 func (rp *Repository) Valid() *Repository {
-	return rp.filterCompliance(func(ok bool) bool { return ok })
+	return rp.filter(func(cs *ColumnStore, i int) bool { return cs.ComplianceCol()[i] })
 }
 
 // NonCompliant returns the results that fail validation.
 func (rp *Repository) NonCompliant() *Repository {
-	return rp.filterCompliance(func(ok bool) bool { return !ok })
+	return rp.filter(func(cs *ColumnStore, i int) bool { return !cs.ComplianceCol()[i] })
 }
 
-// filterCompliance keeps the results whose compliance verdict satisfies
-// keep, reading the compliance column (computed in parallel on the cold
-// build) and preserving repository order.
-func (rp *Repository) filterCompliance(keep func(compliant bool) bool) *Repository {
+// filter keeps the rows of the current snapshot satisfying keep,
+// preserving repository order.
+func (rp *Repository) filter(keep func(cs *ColumnStore, i int) bool) *Repository {
 	st := rp.state.Load()
-	cs := rp.metricStore()
-	comp := cs.ComplianceCol()
-	if cs.AllCompliant() {
-		if keep(true) {
-			return newRepoState(st.results, cs)
-		}
-		return NewRepository(nil)
+	return st.gather(keepRows(st.store.Len(), func(i int) bool { return keep(st.store, i) }))
+}
+
+// gather returns a repository of the rows at idx: the store's columns
+// are gathered, and so are the row pointers when they exist, so
+// result-born repositories keep pointer identity. Keeping every row
+// shares the snapshot instead of copying it.
+func (st *repoState) gather(idx []int32) *Repository {
+	if len(idx) == st.store.Len() {
+		return newRepo(st.rows, st.store)
 	}
-	if st.results != nil {
-		out := make([]*Result, 0, len(st.results))
-		for i, r := range st.results {
-			if keep(comp[i]) {
-				out = append(out, r)
-			}
+	var rows []*Result
+	if st.rows != nil {
+		rows = make([]*Result, len(idx))
+		for k, i := range idx {
+			rows[k] = st.rows[i]
 		}
-		return newRepoState(out, nil)
 	}
-	return NewColumnRepository(cs.Gather(keepRows(cs.Len(), func(i int) bool { return keep(comp[i]) })))
+	return newRepo(rows, st.store.Gather(idx))
 }
 
 func keepRows(n int, keep func(int) bool) []int32 {
@@ -218,65 +186,34 @@ func keepRows(n int, keep func(int) bool) []int32 {
 
 // Filter returns a repository of the results for which keep returns true.
 func (rp *Repository) Filter(keep func(*Result) bool) *Repository {
-	all := rp.resultsSlice()
-	out := make([]*Result, 0, len(all))
-	for _, r := range all {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return newRepoState(out, nil)
-}
-
-// filterColumns keeps the rows satisfying pred, staying columnar for
-// column-born repositories and walking the result views otherwise.
-func (rp *Repository) filterColumns(pred func(cs *ColumnStore, i int) bool, resPred func(*Result) bool) *Repository {
-	st := rp.state.Load()
-	if st.results != nil {
-		out := make([]*Result, 0, len(st.results))
-		for _, r := range st.results {
-			if resPred(r) {
-				out = append(out, r)
-			}
-		}
-		return newRepoState(out, nil)
-	}
-	cs := st.store
-	return NewColumnRepository(cs.Gather(keepRows(cs.Len(), func(i int) bool { return pred(cs, i) })))
+	st := rp.withRows()
+	return st.gather(keepRows(len(st.rows), func(i int) bool { return keep(st.rows[i]) }))
 }
 
 // SingleNode returns only single-node results.
 func (rp *Repository) SingleNode() *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool { return cs.nodes[i] == 1 },
-		func(r *Result) bool { return r.Nodes == 1 })
+	return rp.filter(func(cs *ColumnStore, i int) bool { return cs.nodes[i] == 1 })
 }
 
 // MultiNode returns only results with more than one node.
 func (rp *Repository) MultiNode() *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool { return cs.nodes[i] > 1 },
-		func(r *Result) bool { return r.Nodes > 1 })
+	return rp.filter(func(cs *ColumnStore, i int) bool { return cs.nodes[i] > 1 })
 }
 
 // YearRange returns results whose hardware availability year lies in
 // [from, to] inclusive.
 func (rp *Repository) YearRange(from, to int) *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool {
-			y := int(cs.hwYears[i])
-			return y >= from && y <= to
-		},
-		func(r *Result) bool { return r.HWAvailYear >= from && r.HWAvailYear <= to })
+	return rp.filter(func(cs *ColumnStore, i int) bool {
+		y := int(cs.hwYears[i])
+		return y >= from && y <= to
+	})
 }
 
 // YearMismatched returns results whose published year differs from their
 // hardware availability year — the 74 results (15.5%) the paper calls
 // out.
 func (rp *Repository) YearMismatched() *Repository {
-	return rp.filterColumns(
-		func(cs *ColumnStore, i int) bool { return cs.pubYears[i] != cs.hwYears[i] },
-		func(r *Result) bool { return r.PublishedYear != r.HWAvailYear })
+	return rp.filter(func(cs *ColumnStore, i int) bool { return cs.pubYears[i] != cs.hwYears[i] })
 }
 
 // ByHWYear groups results by hardware availability year.
@@ -301,7 +238,7 @@ func (rp *Repository) ByChips() map[int][]*Result {
 
 func (rp *Repository) groupInt(key func(*Result) int) map[int][]*Result {
 	out := make(map[int][]*Result)
-	for _, r := range rp.resultsSlice() {
+	for _, r := range rp.withRows().rows {
 		k := key(r)
 		out[k] = append(out[k], r)
 	}
@@ -311,7 +248,7 @@ func (rp *Repository) groupInt(key func(*Result) int) map[int][]*Result {
 // ByFamily groups results by microarchitecture family (Fig. 6).
 func (rp *Repository) ByFamily() map[microarch.Family][]*Result {
 	out := make(map[microarch.Family][]*Result)
-	for _, r := range rp.resultsSlice() {
+	for _, r := range rp.withRows().rows {
 		f := r.Codename.Family()
 		out[f] = append(out[f], r)
 	}
@@ -321,7 +258,7 @@ func (rp *Repository) ByFamily() map[microarch.Family][]*Result {
 // ByCodename groups results by processor codename (Fig. 7).
 func (rp *Repository) ByCodename() map[microarch.Codename][]*Result {
 	out := make(map[microarch.Codename][]*Result)
-	for _, r := range rp.resultsSlice() {
+	for _, r := range rp.withRows().rows {
 		out[r.Codename] = append(out[r.Codename], r)
 	}
 	return out
@@ -330,7 +267,7 @@ func (rp *Repository) ByCodename() map[microarch.Codename][]*Result {
 // HWYears returns the distinct hardware availability years in ascending
 // order.
 func (rp *Repository) HWYears() []int {
-	years := distinctInt32(rp.columns().hwYears)
+	years := distinctInt32(rp.state.Load().store.hwYears)
 	sort.Ints(years)
 	return years
 }
@@ -351,66 +288,66 @@ func distinctInt32(col []int32) []int {
 // order. The values come from the metric columns; only the returned
 // slice is freshly allocated.
 func (rp *Repository) EPs() []float64 {
-	return copyColumn(rp.metricStore().EPCol())
+	return copyColumn(rp.Columns().EPCol())
 }
 
 // OverallEEs returns the SPECpower score of every result, in repository
 // order.
 func (rp *Repository) OverallEEs() []float64 {
-	return copyColumn(rp.metricStore().OverallEECol())
+	return copyColumn(rp.Columns().OverallEECol())
 }
 
 // PeakEEs returns every result's peak energy efficiency, in repository
 // order.
 func (rp *Repository) PeakEEs() []float64 {
-	return copyColumn(rp.metricStore().PeakEECol())
+	return copyColumn(rp.Columns().PeakEECol())
 }
 
 // PeakEEUtilizations returns, for every result in repository order, the
 // lowest utilization at which its peak efficiency occurs.
 func (rp *Repository) PeakEEUtilizations() []float64 {
-	return copyColumn(rp.metricStore().PeakEEUtilCol())
+	return copyColumn(rp.Columns().PeakEEUtilCol())
 }
 
 // IdleFractions returns every result's idle-to-peak power ratio, in
 // repository order.
 func (rp *Repository) IdleFractions() []float64 {
-	return copyColumn(rp.metricStore().IdleFractionCol())
+	return copyColumn(rp.Columns().IdleFractionCol())
 }
 
 // DynamicRanges returns every result's normalized power swing, in
 // repository order.
 func (rp *Repository) DynamicRanges() []float64 {
-	return copyColumn(rp.metricStore().DynamicRangeCol())
+	return copyColumn(rp.Columns().DynamicRangeCol())
 }
 
 // PeakOverFullRatios returns every result's peak-over-full-load
 // efficiency ratio, in repository order.
 func (rp *Repository) PeakOverFullRatios() []float64 {
-	return copyColumn(rp.metricStore().PeakOverFullCol())
+	return copyColumn(rp.Columns().PeakOverFullCol())
 }
 
 // SortByEP returns the results sorted by ascending EP (stable, copy).
 // The sort compares precomputed column keys, so it costs O(n log n)
 // float comparisons rather than O(n log n) curve rebuilds.
 func (rp *Repository) SortByEP() []*Result {
-	return rp.sortByKey(rp.metricStore().EPCol())
+	return rp.sortByKey((*ColumnStore).EPCol)
 }
 
 // SortByOverallEE returns the results sorted by ascending SPECpower
 // score (stable, copy).
 func (rp *Repository) SortByOverallEE() []*Result {
-	return rp.sortByKey(rp.metricStore().OverallEECol())
+	return rp.sortByKey((*ColumnStore).OverallEECol)
 }
 
-// sortByKey stable-sorts a copy of the results by the given column,
-// which must be index-aligned with the repository order.
-func (rp *Repository) sortByKey(keys []float64) []*Result {
-	idx := ArgsortStable(keys)
-	all := rp.resultsSlice()
+// sortByKey stable-sorts a copy of the results by the key column of
+// one snapshot, so keys and rows stay index-aligned.
+func (rp *Repository) sortByKey(col func(*ColumnStore) []float64) []*Result {
+	st := rp.withRows()
+	idx := ArgsortStable(col(st.store))
 	out := make([]*Result, len(idx))
 	for i, j := range idx {
-		out[i] = all[j]
+		out[i] = st.rows[j]
 	}
 	return out
 }
@@ -486,7 +423,7 @@ func Merge(repos ...*Repository) *Repository {
 		if rp == nil {
 			continue
 		}
-		for _, r := range rp.resultsSlice() {
+		for _, r := range rp.withRows().rows {
 			if r.ID != "" && seen[r.ID] {
 				continue
 			}
@@ -494,26 +431,17 @@ func Merge(repos ...*Repository) *Repository {
 			out = append(out, r)
 		}
 	}
-	return newRepoState(out, nil)
+	return newRepo(out, buildRawColumns(out))
 }
 
 // IDs returns every result ID in repository order.
 func (rp *Repository) IDs() []string {
-	return append([]string(nil), rp.columns().ids...)
+	return append([]string(nil), rp.state.Load().store.ids...)
 }
 
 // FindByID returns the result with the given ID, or nil.
 func (rp *Repository) FindByID(id string) *Result {
-	st := rp.state.Load()
-	if st.results != nil {
-		for _, r := range st.results {
-			if r.ID == id {
-				return r
-			}
-		}
-		return nil
-	}
-	for i, v := range st.store.ids {
+	for i, v := range rp.state.Load().store.ids {
 		if v == id {
 			return rp.At(i)
 		}

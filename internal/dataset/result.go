@@ -8,7 +8,6 @@ package dataset
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/microarch"
@@ -114,55 +113,6 @@ type Result struct {
 	// Levels are the ten graduated measurement intervals ordered from
 	// 10% to 100% target load.
 	Levels []LoadLevel `json:"levels"`
-
-	// memo holds the lazily-built *metrics bundle. Once any metric
-	// accessor has run, the result's measurement fields (ActiveIdleWatts,
-	// Levels) must be treated as frozen: later mutations are not observed
-	// by the cache. Clone returns a copy with a fresh, empty cache, so
-	// mutate-after-clone workflows stay correct.
-	memo atomic.Value
-}
-
-// metrics is the immutable per-result bundle computed from the curve on
-// first access: the validated curve itself plus every scalar the
-// analyses read in hot loops. Invalid curves memoize the error and zero
-// metrics, matching the zero-on-invalid contract of EP and OverallEE.
-type metrics struct {
-	curve *core.Curve
-	err   error
-
-	ep           float64
-	overallEE    float64
-	peakEE       float64
-	peakEEUtils  []float64
-	idleFraction float64
-	dynamicRange float64
-	peakOverFull float64
-	linearDev    float64
-}
-
-// cached returns the memoized metrics, computing them on first use.
-// Concurrent first calls may each compute the (identical, deterministic)
-// bundle; one wins the publish and the duplicates are garbage. All
-// subsequent calls are a single atomic load.
-func (r *Result) cached() *metrics {
-	if m, ok := r.memo.Load().(*metrics); ok {
-		return m
-	}
-	m := &metrics{}
-	m.curve, m.err = r.buildCurve()
-	if m.err == nil {
-		c := m.curve
-		m.ep = c.EP()
-		m.overallEE = c.OverallEE()
-		m.peakEE, m.peakEEUtils = c.PeakEE()
-		m.idleFraction = c.IdleFraction()
-		m.dynamicRange = c.DynamicRange()
-		m.peakOverFull = c.PeakOverFullRatio()
-		m.linearDev = c.LinearDeviation()
-	}
-	r.memo.Store(m)
-	return m
 }
 
 // TotalCores returns the total core count across all chips.
@@ -185,9 +135,10 @@ func (r *Result) ChipsPerNode() int {
 	return r.Chips / r.Nodes
 }
 
-// buildCurve assembles the result's points into a validated core.Curve
-// without touching the cache.
-func (r *Result) buildCurve() (*core.Curve, error) {
+// Curve returns the result's eleven points as a freshly built
+// core.Curve. Results that fail curve validation are non-compliant by
+// definition.
+func (r *Result) Curve() (*core.Curve, error) {
 	points := make([]core.Point, 0, len(r.Levels)+1)
 	points = append(points, core.Point{Utilization: 0, PowerWatts: r.ActiveIdleWatts})
 	for _, lv := range r.Levels {
@@ -204,15 +155,6 @@ func (r *Result) buildCurve() (*core.Curve, error) {
 	return c, nil
 }
 
-// Curve returns the result's eleven points as a core.Curve. Results that
-// fail curve validation are non-compliant by definition. The curve is
-// memoized on first call and shared between callers; Curve is immutable,
-// so sharing is safe.
-func (r *Result) Curve() (*core.Curve, error) {
-	m := r.cached()
-	return m.curve, m.err
-}
-
 // MustCurve returns the curve of a result already known valid.
 // It panics when the curve cannot be built; analyses call it only on
 // results that passed Validate.
@@ -224,59 +166,67 @@ func (r *Result) MustCurve() *core.Curve {
 	return c
 }
 
+// metric evaluates f on the result's curve, or returns zero when the
+// curve is invalid. Each call rebuilds the curve; repository analyses
+// read the derived columns instead.
+func (r *Result) metric(f func(*core.Curve) float64) float64 {
+	c, err := r.Curve()
+	if err != nil {
+		return 0
+	}
+	return f(c)
+}
+
 // OverallEE returns the SPECpower score (overall ssj_ops per watt), or
 // zero when the curve is invalid.
-func (r *Result) OverallEE() float64 { return r.cached().overallEE }
+func (r *Result) OverallEE() float64 { return r.metric((*core.Curve).OverallEE) }
 
 // EP returns the result's energy proportionality (paper Eq. 1), or zero
 // when the curve is invalid.
-func (r *Result) EP() float64 { return r.cached().ep }
+func (r *Result) EP() float64 { return r.metric((*core.Curve).EP) }
 
 // PeakEE returns the result's peak energy efficiency and every
 // utilization at which it occurs (ties included, ascending), or zeroes
 // when the curve is invalid.
 func (r *Result) PeakEE() (float64, []float64) {
-	m := r.cached()
-	return m.peakEE, append([]float64(nil), m.peakEEUtils...)
+	c, err := r.Curve()
+	if err != nil {
+		return 0, nil
+	}
+	return c.PeakEE()
 }
 
 // PeakEEValue returns the result's peak energy efficiency without the
-// tie utilizations — the allocation-free variant of PeakEE for hot
-// aggregation loops. Zero when the curve is invalid.
-func (r *Result) PeakEEValue() float64 { return r.cached().peakEE }
+// tie utilizations, or zero when the curve is invalid.
+func (r *Result) PeakEEValue() float64 {
+	v, _ := r.PeakEE()
+	return v
+}
 
 // PeakEEUtilization returns the lowest utilization at which the result
 // attains its peak efficiency, or zero when the curve is invalid.
-func (r *Result) PeakEEUtilization() float64 {
-	m := r.cached()
-	if len(m.peakEEUtils) == 0 {
-		return 0
-	}
-	return m.peakEEUtils[0]
-}
+func (r *Result) PeakEEUtilization() float64 { return r.metric((*core.Curve).PeakEEUtilization) }
 
 // IdleFraction returns idle power over full-load power, or zero when the
 // curve is invalid.
-func (r *Result) IdleFraction() float64 { return r.cached().idleFraction }
+func (r *Result) IdleFraction() float64 { return r.metric((*core.Curve).IdleFraction) }
 
 // DynamicRange returns the normalized power swing 1 − IdleFraction, or
 // zero when the curve is invalid.
-func (r *Result) DynamicRange() float64 { return r.cached().dynamicRange }
+func (r *Result) DynamicRange() float64 { return r.metric((*core.Curve).DynamicRange) }
 
 // PeakOverFullRatio returns peak efficiency over full-load efficiency,
 // or zero when the curve is invalid.
-func (r *Result) PeakOverFullRatio() float64 { return r.cached().peakOverFull }
+func (r *Result) PeakOverFullRatio() float64 { return r.metric((*core.Curve).PeakOverFullRatio) }
 
 // LinearDeviation returns the signed area between the normalized power
 // curve and its idle-to-peak chord, or zero when the curve is invalid.
-func (r *Result) LinearDeviation() float64 { return r.cached().linearDev }
+func (r *Result) LinearDeviation() float64 { return r.metric((*core.Curve).LinearDeviation) }
 
-// Clone returns a deep copy of the result with an empty metric cache:
-// the clone computes its own metrics on first access and never shares
-// cached state with its source, so cloned results are safe to mutate.
+// Clone returns a deep copy of the result, safe to mutate independently
+// of its source.
 func (r *Result) Clone() *Result {
 	out := *r
-	out.memo = atomic.Value{}
 	out.Levels = append([]LoadLevel(nil), r.Levels...)
 	return &out
 }

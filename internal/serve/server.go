@@ -501,34 +501,46 @@ func (s *Server) handleServers(w http.ResponseWriter, r *http.Request) {
 	arch := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("arch")))
 	key := "servers\x00" + strconv.Itoa(year) + "\x00" + arch
 	s.cached(w, r, "servers", key, func(snap *Snapshot) ([]byte, string, error) {
+		cs := snap.Valid.Columns()
+		ids, vendors, systems := cs.IDCol(), cs.VendorCol(), cs.SystemCol()
+		years, codenames := cs.HWYearCol(), cs.CodenameCol()
+		nodes, chips, coresPerChip, memory := cs.NodesCol(), cs.ChipsCol(), cs.CoresPerChipCol(), cs.MemoryGBCol()
+		eps, ees, idles := cs.EPCol(), cs.OverallEECol(), cs.IdleFractionCol()
+		peakUtils, peaks, ranges := cs.PeakEEUtilCol(), cs.PeakEECol(), cs.DynamicRangeCol()
 		out := []serverJSON{}
-		for _, res := range snap.Valid.All() {
-			if year != 0 && res.HWAvailYear != year {
+		for i := range ids {
+			if year != 0 && int(years[i]) != year {
 				continue
 			}
-			family := res.Codename.Family().String()
-			codename := res.Codename.String()
+			family := codenames[i].Family().String()
+			codename := codenames[i].String()
 			if arch != "" && strings.ToLower(family) != arch && strings.ToLower(codename) != arch {
 				continue
 			}
+			// Result.TotalCores and Result.MemoryPerCore on the columns.
+			cores := int(chips[i]) * int(coresPerChip[i])
+			perCore := 0.0
+			if cores != 0 {
+				perCore = memory[i] / float64(cores)
+			}
 			out = append(out, serverJSON{
-				ID:            res.ID,
-				Vendor:        res.Vendor,
-				System:        res.System,
-				HWAvailYear:   res.HWAvailYear,
+				ID:            ids[i],
+				Vendor:        vendors[i],
+				System:        systems[i],
+				HWAvailYear:   int(years[i]),
 				Family:        family,
 				Codename:      codename,
-				Nodes:         res.Nodes,
-				Chips:         res.Chips,
-				TotalCores:    res.TotalCores(),
-				MemoryGB:      res.MemoryGB,
-				EP:            res.EP(),
-				OverallEE:     res.OverallEE(),
-				IdleFraction:  res.IdleFraction(),
-				PeakEEAtUtil:  res.PeakEEUtilization(),
-				PeakEE:        res.PeakEEValue(),
-				DynamicRange:  res.DynamicRange(),
-				MemoryPerCore: res.MemoryPerCore(),
+				Nodes:         int(nodes[i]),
+				Chips:         int(chips[i]),
+				TotalCores:    cores,
+				MemoryGB:      memory[i],
+				EP:            eps[i],
+				OverallEE:     ees[i],
+				IdleFraction:  idles[i],
+				PeakEEAtUtil:  peakUtils[i],
+				PeakEE:        peaks[i],
+				DynamicRange:  ranges[i],
+				MemoryPerCore: perCore,
 			})
 		}
 		return marshalJSON(out)

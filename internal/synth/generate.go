@@ -96,9 +96,9 @@ func (g *generator) validResults() ([]*dataset.Result, error) {
 		draws[i] = d
 	}
 	// Stage 2 (parallel): pure curve materialization, fanned out across
-	// CPUs. Metric caches stay cold here — the repository warms them in
-	// parallel on first analysis — so generation never pays for metrics
-	// the caller may not read.
+	// CPUs. No metric is derived here — the repository's columnar kernel
+	// derives them in parallel on first analysis — so generation never
+	// pays for metrics the caller may not read.
 	results := par.Map(len(blueprints), func(i int) *dataset.Result {
 		return materializeResult(blueprints[i], &draws[i], submissionID(draws[i].seq))
 	})

@@ -19,15 +19,33 @@ import (
 	"repro/internal/verify/tol"
 )
 
-// metricBits packs a result's cached metric bundle as exact float bits,
-// so two computation paths compare bit-for-bit rather than "close".
+// metricBits recomputes a result's metrics from its own curve and
+// packs them as exact float bits (zero for an invalid curve), so the
+// recompute and the derived columns compare bit-for-bit rather than
+// "close".
 func metricBits(r *dataset.Result) [5]uint64 {
+	c, err := r.Curve()
+	if err != nil {
+		return [5]uint64{}
+	}
+	peak, _ := c.PeakEE()
 	return [5]uint64{
-		math.Float64bits(r.EP()),
-		math.Float64bits(r.OverallEE()),
-		math.Float64bits(r.IdleFraction()),
-		math.Float64bits(r.DynamicRange()),
-		math.Float64bits(r.PeakEEValue()),
+		math.Float64bits(c.EP()),
+		math.Float64bits(c.OverallEE()),
+		math.Float64bits(c.IdleFraction()),
+		math.Float64bits(c.DynamicRange()),
+		math.Float64bits(peak),
+	}
+}
+
+// columnBits packs row i of the derived columns in metricBits order.
+func columnBits(cs *dataset.ColumnStore, i int) [5]uint64 {
+	return [5]uint64{
+		math.Float64bits(cs.EPCol()[i]),
+		math.Float64bits(cs.OverallEECol()[i]),
+		math.Float64bits(cs.IdleFractionCol()[i]),
+		math.Float64bits(cs.DynamicRangeCol()[i]),
+		math.Float64bits(cs.PeakEECol()[i]),
 	}
 }
 
@@ -88,27 +106,23 @@ func serveGET(srv *serve.Server, target string) (*httptest.ResponseRecorder, err
 }
 
 // differentialInvariants pit two independent paths through the system
-// against each other: caches versus cold recomputation, parallel
+// against each other: derived columns versus a per-row recompute, parallel
 // schedules versus each other, the serving layer versus the library
 // render, and regeneration versus the loaded corpus.
 func differentialInvariants() []Invariant {
 	return []Invariant{
 		{
 			Name: "differential/cold-vs-memoized", Category: Differential,
-			Doc: "a fresh clone recomputes bit-identical metrics to the warm cache and columns",
+			Doc: "every row's metrics recomputed from its curve are bit-identical to the derived columns",
 			Check: func(ctx *Context) Finding {
+				cs := ctx.Valid.Columns()
 				all := ctx.Valid.All()
-				eps := ctx.Valid.EPs()
 				for i, r := range all {
-					cold := metricBits(r.Clone())
-					if warm := metricBits(r); cold != warm {
-						return fail("%s: cold clone metrics diverge from memoized bundle", r.ID)
-					}
-					if math.Float64bits(eps[i]) != cold[0] {
-						return fail("%s: repository EP column diverges from cold recompute", r.ID)
+					if metricBits(r) != columnBits(cs, i) {
+						return fail("%s: derived columns diverge from a recompute of its curve", r.ID)
 					}
 				}
-				return pass("%d results bit-identical cold vs warm", len(all))
+				return pass("%d results bit-identical recomputed vs derived columns", len(all))
 			},
 		},
 		{
@@ -227,7 +241,7 @@ func differentialInvariants() []Invariant {
 		},
 		{
 			Name: "differential/clone-independence", Category: Differential,
-			Doc: "mutating a clone never disturbs the original's memoized metrics",
+			Doc: "mutating a clone never disturbs the original's metrics",
 			Check: func(ctx *Context) Finding {
 				all := ctx.Valid.All()
 				if len(all) == 0 {

@@ -8,11 +8,11 @@
 //     submissions, 477 valid, 74 reorganized, compliance partition,
 //     standard 11-point curves, monotone power, 478 peak-EE spots);
 //   - metric: the paper's published numbers recomputed from raw
-//     disclosure fields and compared against the cached metric paths
+//     disclosure fields and compared against the derived metric paths
 //     (Eq. 1 from the trapezoid area, the −0.92 idle correlation, the
 //     Eq. 2 exponential fit, the EP extremes 0.18/1.05);
 //   - differential: two independent paths through the system must
-//     agree exactly — cold recomputation versus memoized caches,
+//     agree exactly — per-row recomputation versus derived columns,
 //     worker counts 1/2/8, the HTTP serving layer versus the library
 //     render, clone independence, corpus regeneration determinism.
 //
@@ -70,7 +70,7 @@ type Context struct {
 
 // NewContext prepares a verification context over a repository. The
 // valid subset is filtered and its metric columns precomputed so the
-// invariants measure the same warm caches production reads.
+// invariants measure the same derived columns production reads.
 func NewContext(rp *dataset.Repository, seed int64, synthetic bool) *Context {
 	valid := rp.Valid()
 	valid.Precompute()

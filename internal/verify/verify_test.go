@@ -107,13 +107,13 @@ func TestCategoryFilter(t *testing.T) {
 	}
 }
 
-// TestCorruptedMetricsFail mutates one valid curve after the caches
-// warmed: the cached metrics no longer match a cold recomputation, so
-// the differential and metric invariants must catch it.
+// TestCorruptedMetricsFail mutates one valid curve after NewContext's
+// Precompute built the derived columns: the columns no longer match a
+// recompute of the row's curve, so the differential and metric
+// invariants must catch it.
 func TestCorruptedMetricsFail(t *testing.T) {
 	ctx := seed1(t)
 	victim := ctx.Valid.All()[3]
-	victim.EP() // ensure the stale value is memoized before corruption
 	victim.Levels[7].AvgPowerWatts *= 1.7
 
 	rep := Run(ctx, Metric, Differential)
