@@ -325,6 +325,56 @@ func TestMetricsAllocationFree(t *testing.T) {
 	}
 }
 
+// TestCurveAllocs pins curve construction to one allocation: an
+// 11-point curve shares it with its points, and NewStandardCurve builds
+// its point list on the stack.
+func TestCurveAllocs(t *testing.T) {
+	points := make([]Point, 11)
+	for i, u := range StandardUtilizations {
+		points[i] = Point{Utilization: u, OpsPerSec: 1000 * u, PowerWatts: 50 + 100*u}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := NewCurve(points); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("NewCurve(11 points): %v allocations, want 1", n)
+	}
+	watts, ops := make([]float64, 10), make([]float64, 10)
+	for i := range watts {
+		watts[i], ops[i] = points[i+1].PowerWatts, points[i+1].OpsPerSec
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := NewStandardCurve(50, watts, ops); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("NewStandardCurve: %v allocations, want 1", n)
+	}
+}
+
+// TestNewCurveCopiesPoints checks both storage paths copy the caller's
+// points: the inline one (≤ 11 points) and the slice one (more).
+func TestNewCurveCopiesPoints(t *testing.T) {
+	for _, n := range []int{2, 11, 12, 21} {
+		points := make([]Point, n)
+		for i := range points {
+			u := float64(i) / float64(n-1)
+			points[i] = Point{Utilization: u, OpsPerSec: 1000 * u, PowerWatts: 50 + 100*u}
+		}
+		points[n-1].Utilization = 1
+		c, err := NewCurve(points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		points[1].PowerWatts = -1
+		if c.NumLevels() != n || c.Point(1).PowerWatts <= 0 {
+			t.Errorf("%d points: curve has %d levels, point 1 power %v; want %d and the original power",
+				n, c.NumLevels(), c.Point(1).PowerWatts, n)
+		}
+	}
+}
+
 func TestNormalizedEE(t *testing.T) {
 	c := linearCurve(t, 0.5, 100, 1000)
 	norm := c.NormalizedEE()

@@ -80,6 +80,19 @@ func TestResultCurveAndMetrics(t *testing.T) {
 	}
 }
 
+// TestCurveAllocs pins Result.Curve to the one allocation of the
+// curve itself: its points are built on the stack.
+func TestCurveAllocs(t *testing.T) {
+	r := validResult("r1")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := r.Curve(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Result.Curve: %v allocations, want 1", n)
+	}
+}
+
 func TestResultCurveInvalid(t *testing.T) {
 	r := validResult("bad")
 	r.Levels = r.Levels[:5]

@@ -48,7 +48,10 @@ var (
 )
 
 // GenerateFleet produces a fleet of Servers synthetic results with IDs
-// fleet-0000000..; shards materialize in parallel across CPUs.
+// fleet-0000000..; shards materialize in parallel across CPUs. Each
+// shard's results and their load levels live in two slabs allocated
+// once per shard; every Levels slice is capped at its own ten levels, so
+// appending to one never writes into a neighbour's.
 func GenerateFleet(cfg FleetConfig) ([]*dataset.Result, error) {
 	if cfg.Servers <= 0 {
 		return nil, fmt.Errorf("synth: fleet size %d must be positive", cfg.Servers)
@@ -56,18 +59,16 @@ func GenerateFleet(cfg FleetConfig) ([]*dataset.Result, error) {
 	out := make([]*dataset.Result, cfg.Servers)
 	shards := (cfg.Servers + fleetShardSize - 1) / fleetShardSize
 	err := par.ForEachErr(shards, func(s int) error {
-		base := s * fleetShardSize
-		count := cfg.Servers - base
-		if count > fleetShardSize {
-			count = fleetShardSize
-		}
-		g := &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
-		for i := 0; i < count; i++ {
-			r, err := g.fleetResult(fleetID(base + i))
-			if err != nil {
+		base, count := fleetShard(cfg, s)
+		rs := make([]dataset.Result, count)
+		lv := make([]dataset.LoadLevel, count*levelsPerServer)
+		g := newFleetGenerator(cfg, s)
+		for i := range rs {
+			lo := i * levelsPerServer
+			if err := g.fleetResult(&rs[i], lv[lo:lo+levelsPerServer:lo+levelsPerServer], fleetID(base+i)); err != nil {
 				return err
 			}
-			out[base+i] = r
+			out[base+i] = &rs[i]
 		}
 		return nil
 	})
@@ -77,24 +78,38 @@ func GenerateFleet(cfg FleetConfig) ([]*dataset.Result, error) {
 	return out, nil
 }
 
+// levelsPerServer is the number of measured load levels per result.
+const levelsPerServer = 10
+
+// fleetShard returns shard s's first server index and server count.
+func fleetShard(cfg FleetConfig, s int) (base, count int) {
+	base = s * fleetShardSize
+	return base, min(cfg.Servers-base, fleetShardSize)
+}
+
+// newFleetGenerator returns shard s's generator, on its own stream.
+func newFleetGenerator(cfg FleetConfig, s int) *generator {
+	return &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
+}
+
 // generateShardStore materializes shard s straight into a column
-// store: each sampled result is appended to the shard's builder and
-// then dropped, so the per-shard footprint is one builder plus one
-// transient Result.
+// store. Every server is sampled into one scratch Result and levels
+// buffer reused across the shard: the builder copies the levels and
+// keeps only the (immutable) strings, so the per-shard footprint is the
+// builder alone.
 func generateShardStore(cfg FleetConfig, s int) (*dataset.ColumnStore, error) {
-	base := s * fleetShardSize
-	count := cfg.Servers - base
-	if count > fleetShardSize {
-		count = fleetShardSize
-	}
-	g := &generator{rng: rand.New(rand.NewSource(cfg.Seed + int64(s+1)*fleetShardSeedStep))}
-	b := dataset.NewColumnBuilder(count, count*10)
+	base, count := fleetShard(cfg, s)
+	g := newFleetGenerator(cfg, s)
+	b := dataset.NewColumnBuilder(count, count*levelsPerServer)
+	var (
+		r  dataset.Result
+		lv [levelsPerServer]dataset.LoadLevel
+	)
 	for i := 0; i < count; i++ {
-		r, err := g.fleetResult(fleetID(base + i))
-		if err != nil {
+		if err := g.fleetResult(&r, lv[:], fleetID(base+i)); err != nil {
 			return nil, err
 		}
-		b.Append(r)
+		b.Append(&r)
 	}
 	return b.Store(), nil
 }
@@ -170,12 +185,13 @@ func fleetID(i int) string {
 	return string(buf[pos:])
 }
 
-// fleetResult samples one server with the given ID: blueprint from the
-// plan tables, then the standard draw/materialize pipeline. The curve
+// fleetResult samples one server with the given ID into r, with
+// levels (length 10) as its load levels: blueprint from the plan
+// tables, then the standard draw/materialize pipeline. The curve
 // solver can reject an (EP target, peak spot) pair as non-monotone;
 // fleets resample the pair rather than fail, since no census depends
 // on the first draw.
-func (g *generator) fleetResult(id string) (*dataset.Result, error) {
+func (g *generator) fleetResult(r *dataset.Result, levels []dataset.LoadLevel, id string) error {
 	bp := &blueprint{}
 	bp.year = g.sampleFleetYear()
 	bp.nodes, bp.chips = g.sampleFleetPopulation()
@@ -188,16 +204,16 @@ func (g *generator) fleetResult(id string) (*dataset.Result, error) {
 		bp.spot = g.sampleFleetSpot(bp.year)
 		d, err := g.drawResult(bp)
 		if err == nil {
-			r := materializeResult(bp, &d, id)
+			materializeResult(r, levels, bp, &d, id)
 			if r.HWAvailYear < 2007 {
 				// The benchmark launched in 2007; older hardware is
 				// necessarily published later.
 				r.PublishedYear = 2007 + g.rng.Intn(5)
 			}
-			return r, nil
+			return nil
 		}
 		if try == attempts-1 {
-			return nil, fmt.Errorf("synth: fleet curve failed after %d attempts: %w", attempts, err)
+			return fmt.Errorf("synth: fleet curve failed after %d attempts: %w", attempts, err)
 		}
 	}
 }

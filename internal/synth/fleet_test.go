@@ -209,3 +209,47 @@ func TestGenerateFleetShardsStreams(t *testing.T) {
 		t.Errorf("shard sizes %d/%d, want 1024/%d", stores[0].Len(), last.Len(), cfg.Servers%1024)
 	}
 }
+
+// TestGenerateFleetAllocs bounds fleet generation to two allocations
+// per server (its ID and System strings) plus a per-shard constant
+// (the two slabs and the shard's RNG): results and load levels come
+// from per-shard slabs.
+func TestGenerateFleetAllocs(t *testing.T) {
+	const servers, shards = 4 * fleetShardSize, 4
+	n := testing.AllocsPerRun(3, func() {
+		if _, err := GenerateFleet(FleetConfig{Seed: 1, Servers: servers}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if limit := float64(2*servers + 8*shards + 8); n > limit {
+		t.Errorf("GenerateFleet(%d): %v allocations, want ≤ %v", servers, n, limit)
+	}
+}
+
+// TestGenerateFleetSlabsDoNotAlias checks that servers sharing a shard
+// slab stay independent: appending to one server's levels leaves its
+// neighbour's intact, and a Clone owns its levels.
+func TestGenerateFleetSlabsDoNotAlias(t *testing.T) {
+	rs, err := GenerateFleet(FleetConfig{Seed: 3, Servers: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fleetCSV(t, rs)
+	for i := 0; i+1 < len(rs); i++ {
+		if cap(rs[i].Levels) != len(rs[i].Levels) {
+			t.Fatalf("server %d: levels cap %d, len %d: appends would reach the next server", i, cap(rs[i].Levels), len(rs[i].Levels))
+		}
+	}
+	next := rs[1].Levels[0]
+	grown := append(rs[0].Levels, dataset.LoadLevel{TargetLoad: 2, AvgPowerWatts: -1})
+	if rs[1].Levels[0] != next || len(grown) != 11 {
+		t.Fatal("appending to server 0's levels changed server 1's")
+	}
+	c := rs[2].Clone()
+	c.Levels[0].AvgPowerWatts = -1
+	c.Levels = append(c.Levels, dataset.LoadLevel{})
+	c.System = "changed"
+	if !bytes.Equal(fleetCSV(t, rs), want) {
+		t.Error("mutating an appended slice or a Clone changed the fleet")
+	}
+}

@@ -63,7 +63,8 @@ func toCore(t *testing.T, c normCurve) *core.Curve {
 
 // The per-candidate reference forms of the solver's shape tests: each
 // re-evaluates cubicShape on the grid for its own (a, b). The solver
-// evaluates a candidate once (shape) and must match these bit for bit.
+// evaluates a candidate in one fused pass (shape.fill, shape.curve) and
+// must match these bit for bit.
 
 // shapeCurve builds the normalized curve for shape (a, b) and idle k:
 // p(u) = k + (1-k)·s(u).
@@ -204,8 +205,9 @@ func FuzzCurveEP(f *testing.F) {
 // exact idle-for-EP inversion over the cubic shape family, and the
 // Eq. 2 inversion. Whenever idleForEP accepts a target the resulting
 // curve must hit that EP to round-off, and idleFromEq2 must invert
-// Eq. 2 exactly. The solver's one-evaluation shape path must equal the
-// per-(a, b) shapeAdmissible, idleForEP and shapeCurve bit for bit.
+// Eq. 2 exactly. The solver's fused shape and curve passes must equal
+// the per-(a, b) shapeAdmissible, idleForEP, shapeCurve and
+// peakSpotMargin bit for bit.
 func FuzzIdleForEP(f *testing.F) {
 	rp, err := NewRepository(Config{Seed: 1})
 	if err != nil {
@@ -224,21 +226,35 @@ func FuzzIdleForEP(f *testing.F) {
 			math.Abs(a) > 2 || math.Abs(b) > 2 || ep <= 0.01 || ep >= 1.8 {
 			t.Skip()
 		}
-		var s shape
-		s.eval(a, b)
-		if got, want := s.admissible(), shapeAdmissible(a, b); got != want {
-			t.Fatalf("shape(%v, %v).admissible() = %v, shapeAdmissible = %v", a, b, got, want)
-		}
+		admissible := shapeAdmissible(a, b)
 		k, ok := idleForEP(a, b, ep)
-		if gotK, gotOK := s.idleForEP(ep); gotOK != ok || math.Float64bits(gotK) != math.Float64bits(k) {
-			t.Fatalf("shape(%v, %v).idleForEP(%v) = (%v, %v), idleForEP = (%v, %v)", a, b, ep, gotK, gotOK, k, ok)
+		var s shape
+		if gotK, gotOK := s.fill(a, b, 1-ep/2); gotOK != (admissible && ok) ||
+			gotOK && math.Float64bits(gotK) != math.Float64bits(k) {
+			t.Fatalf("shape.fill(%v, %v, EP %v) = (%v, %v), shapeAdmissible = %v, idleForEP = (%v, %v)",
+				a, b, ep, gotK, gotOK, admissible, k, ok)
 		}
-		var got normCurve
-		if s.curve(&got, k); !sameCurve(got, shapeCurve(a, b, k)) {
-			t.Fatalf("shape(%v, %v).curve(%v) = %+v, shapeCurve = %+v", a, b, k, got, shapeCurve(a, b, k))
-		}
-		if !shapeAdmissible(a, b) {
+		if !admissible {
 			t.Skip()
+		}
+		// fill wrote the whole shape; the curve pass must build
+		// shapeCurve and find its peak spot.
+		want := shapeCurve(a, b, k)
+		var got normCurve
+		spot, best, second, mono := s.curve(&got, k)
+		if mono != want.monotone() {
+			t.Fatalf("shape(%v, %v).curve(%v) monotone = %v, shapeCurve %+v", a, b, k, mono, want)
+		}
+		if mono {
+			if !sameCurve(got, want) {
+				t.Fatalf("shape(%v, %v).curve(%v) = %+v, shapeCurve = %+v", a, b, k, got, want)
+			}
+			wantSpot, wantMargin := peakSpotMargin(want)
+			if margin := spotMargin(best, second); spot != wantSpot ||
+				math.Float64bits(margin) != math.Float64bits(wantMargin) {
+				t.Fatalf("shape(%v, %v).curve(%v) peak = (%v, margin %v), reference (%v, %v)",
+					a, b, k, spot, margin, wantSpot, wantMargin)
+			}
 		}
 		if ok {
 			if k < 0.015 || k > 0.93 {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/microarch"
@@ -100,7 +101,7 @@ func (g *generator) validResults() ([]*dataset.Result, error) {
 	// derives them in parallel on first analysis — so generation never
 	// pays for metrics the caller may not read.
 	results := par.Map(len(blueprints), func(i int) *dataset.Result {
-		return materializeResult(blueprints[i], &draws[i], submissionID(draws[i].seq))
+		return newResult(blueprints[i], &draws[i])
 	})
 	g.assignPublishedYears(results)
 	return results, nil
@@ -545,10 +546,13 @@ func (g *generator) drawResult(bp *blueprint) (resultDraws, error) {
 // submissionID is a corpus result's ID: its submission sequence number.
 func submissionID(seq int) string { return fmt.Sprintf("power_ssj2008-%04d", seq) }
 
-// materializeResult is the pure stage: it turns a blueprint plus its
-// recorded draws into a Result with the given ID without touching the
-// rng, so it is safe to run concurrently for many submissions.
-func materializeResult(bp *blueprint, d *resultDraws, id string) *dataset.Result {
+// materializeResult is the pure stage: it fills r with the Result a
+// blueprint plus its recorded draws describe, under the given ID,
+// without touching the rng, so it is safe to run concurrently for many
+// submissions. Every field of r is overwritten. levels (length 10)
+// becomes r.Levels; callers own its allocation, so a fleet can carve
+// it from a per-shard slab.
+func materializeResult(r *dataset.Result, levels []dataset.LoadLevel, bp *blueprint, d *resultDraws, id string) {
 	// Peak power scales with the installed hardware.
 	peakWatts := 30 + float64(bp.chips)*(55+35*d.peakRand) +
 		bp.mpc*float64(bp.chips*bp.coresPerChip)*0.35 +
@@ -562,7 +566,6 @@ func materializeResult(bp *blueprint, d *resultDraws, id string) *dataset.Result
 	ee100 := d.eeTarget * (sumP + d.curve.idle) / 5.5
 	ops100 := ee100 * peakWatts
 
-	levels := make([]dataset.LoadLevel, 10)
 	for i, u := range levelGrid {
 		jitter := 0.0
 		if i < 9 && d.jitterOn {
@@ -577,10 +580,10 @@ func materializeResult(bp *blueprint, d *resultDraws, id string) *dataset.Result
 		}
 	}
 
-	r := &dataset.Result{
+	*r = dataset.Result{
 		ID:               id,
 		Vendor:           d.vendor,
-		System:           fmt.Sprintf("%s %s%d", d.vendor, d.series, d.seriesNum),
+		System:           systemName(d.vendor, d.series, d.seriesNum),
 		FormFactor:       d.form,
 		PublishedYear:    bp.year, // adjusted later for mismatches
 		PublishedQuarter: d.pubQ,
@@ -603,7 +606,24 @@ func materializeResult(bp *blueprint, d *resultDraws, id string) *dataset.Result
 		r.CPUModel = "Intel Core i5-4570"
 		r.NominalGHz = 3.2
 	}
+}
+
+// newResult materializes one corpus submission into its own Result and
+// levels.
+func newResult(bp *blueprint, d *resultDraws) *dataset.Result {
+	r := new(dataset.Result)
+	materializeResult(r, make([]dataset.LoadLevel, levelsPerServer), bp, d, submissionID(d.seq))
 	return r
+}
+
+// systemName is fmt.Sprintf("%s %s%d", vendor, series, n) built in one
+// allocation.
+func systemName(vendor, series string, n int) string {
+	var buf [64]byte
+	b := append(buf[:0], vendor...)
+	b = append(b, ' ')
+	b = append(b, series...)
+	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 // buildResult composes the two stages sequentially. The non-compliant
@@ -614,7 +634,7 @@ func (g *generator) buildResult(bp *blueprint) (*dataset.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return materializeResult(bp, &d, submissionID(d.seq)), nil
+	return newResult(bp, &d), nil
 }
 
 var systemSeries = []string{"ProServ ", "PowerRack ", "System x", "Primergy ", "ThinkSystem ", "Express "}

@@ -98,11 +98,13 @@ func Bursty(cfg BurstyConfig) (*Trace, error) {
 
 // ReadCSV parses a demand trace from CSV. Each data row is either one
 // column (demand in ops) or two (time in seconds — ignored beyond
-// validation — and demand); a non-numeric first row is treated as a
-// header and skipped. Demand values must be finite and non-negative.
-// stepSeconds is the sampling period the caller assigns to the trace.
+// validation — and demand); a first row whose demand field is not a
+// number is treated as a header and skipped. Times must be finite
+// numbers; demand values must be finite and non-negative. stepSeconds,
+// finite and positive, is the sampling period the caller assigns to
+// the trace.
 func ReadCSV(r io.Reader, stepSeconds float64) (*Trace, error) {
-	if stepSeconds <= 0 {
+	if !(stepSeconds > 0) || math.IsInf(stepSeconds, 0) {
 		return nil, fmt.Errorf("trace: step %v", stepSeconds)
 	}
 	out := &Trace{StepSeconds: stepSeconds}
@@ -136,6 +138,15 @@ func ReadCSV(r io.Reader, stepSeconds float64) (*Trace, error) {
 		}
 		if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
 			return nil, fmt.Errorf("trace: line %d: demand %v", line, d)
+		}
+		if len(fields) == 2 {
+			ts, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
+			if err != nil {
+				return nil, fmt.Errorf("trace: line %d: time: %v", line, err)
+			}
+			if math.IsNaN(ts) || math.IsInf(ts, 0) {
+				return nil, fmt.Errorf("trace: line %d: time %v", line, ts)
+			}
 		}
 		out.DemandOps = append(out.DemandOps, d)
 	}

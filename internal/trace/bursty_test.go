@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -92,13 +93,46 @@ func TestReadCSVRejects(t *testing.T) {
 		"three columns":    "1,2,3\n",
 		"text mid-file":    "100\noops\n",
 		"non-numeric late": "100\n200\nxyz\n",
+		"bad time":         "0,100\nabc,200\n",
+		"nan time":         "0,100\nNaN,200\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in), 60); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if _, err := ReadCSV(strings.NewReader("100\n"), 0); err == nil {
-		t.Error("zero step accepted")
+	for _, step := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := ReadCSV(strings.NewReader("100\n"), step); err == nil {
+			t.Errorf("step %v accepted", step)
+		}
 	}
+}
+
+// FuzzReadCSV feeds arbitrary text and steps to the demand-trace
+// parser: it must never panic, and every trace it accepts has at least
+// one finite, non-negative demand and the given step.
+func FuzzReadCSV(f *testing.F) {
+	f.Add("100\n200.5\n0\n", 60.0)
+	f.Add("time_s,demand_ops\n0,100\n60,200\n", 60.0)
+	f.Add("# demand\n100\n\n200\n", 1.0)
+	f.Add("0,100\nabc,200\n", 60.0)
+	f.Add("1,2,3\n", 60.0)
+	f.Add("-5\n", 60.0)
+	f.Fuzz(func(t *testing.T, in string, step float64) {
+		tr, err := ReadCSV(strings.NewReader(in), step)
+		if err != nil {
+			return
+		}
+		if tr.StepSeconds != step {
+			t.Fatalf("step %v, want %v", tr.StepSeconds, step)
+		}
+		if len(tr.DemandOps) == 0 {
+			t.Fatal("accepted trace has no demand")
+		}
+		for i, d := range tr.DemandOps {
+			if math.IsNaN(d) || math.IsInf(d, 0) || d < 0 {
+				t.Fatalf("demand[%d] = %v", i, d)
+			}
+		}
+	})
 }
