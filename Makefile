@@ -92,6 +92,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCurveEP -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzIdleForEP -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzSolveCurveMatchesReference -fuzztime $(FUZZTIME) ./internal/synth
 
 # Serve the report/figures/metrics over HTTP from the snapshot cache.
 serve:

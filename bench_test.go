@@ -684,7 +684,10 @@ func BenchmarkFleetCompare1k(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetGenerate10k times the sharded fleet synthesizer.
+// BenchmarkFleetGenerate10k times the sharded fleet synthesizer: the
+// curve solver's fused candidate passes, then materialization into
+// per-shard result and load-level slabs (about two allocations per
+// server, its ID and System strings).
 func BenchmarkFleetGenerate10k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -700,7 +703,8 @@ func BenchmarkFleetGenerate10k(b *testing.B) {
 
 // BenchmarkFleetProfile10k times per-server profiling of a 10k-server
 // fleet: Curve(), which builds a fresh curve on every call, plus
-// NewProfile.
+// NewProfile — one allocation each (the curve with its points, the
+// profile with its lookup tables).
 func BenchmarkFleetProfile10k(b *testing.B) {
 	rs, err := repro.GenerateFleet(repro.FleetConfig{Seed: 1, Servers: 10_000})
 	if err != nil {
