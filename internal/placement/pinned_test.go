@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -81,5 +82,39 @@ func TestProfilePinned(t *testing.T) {
 		if got := profileDigest(t, tc.rs); got != tc.want {
 			t.Errorf("%s: profile digest %s, pinned %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestProfilesOrderAndErrors checks the batch constructor: profiles come
+// back in input order, equal to NewProfile row by row, and a bad row is
+// reported as the error of the lowest failing index instead of a panic.
+func TestProfilesOrderAndErrors(t *testing.T) {
+	rs, err := synth.GenerateFleet(synth.FleetConfig{Seed: 5, Servers: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Profiles(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		want, err := NewProfile(r.ID, r.MustCurve())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i].ID != r.ID || math.Float64bits(got[i].MaxOps) != math.Float64bits(want.MaxOps) ||
+			math.Float64bits(got[i].EP) != math.Float64bits(want.EP) {
+			t.Fatalf("profile %d is %s (EP %v), want %s (EP %v)", i, got[i].ID, got[i].EP, r.ID, want.EP)
+		}
+	}
+
+	bad := append([]*dataset.Result(nil), rs...)
+	for _, i := range []int{250, 7} {
+		broken := *rs[i]
+		broken.Levels = nil
+		bad[i] = &broken
+	}
+	if _, err := Profiles(bad); err == nil || !strings.Contains(err.Error(), rs[7].ID) {
+		t.Errorf("Profiles with bad rows 7 and 250: err = %v, want the error of row 7 (%s)", err, rs[7].ID)
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // Profile characterizes one server for placement decisions.
@@ -72,6 +74,19 @@ func (p *Profile) CappedOps() float64 { return p.OpsAt(p.maxUtil()) }
 // peaking below 100% captures the paper's "70%-100% is the better
 // working region" guidance.
 const regionThreshold = 0.985
+
+// Profiles derives the placement profile of every result from its
+// curve, in parallel, returning them in input order. On failure it
+// returns the curve or profile error of the lowest failing index.
+func Profiles(results []*dataset.Result) ([]*Profile, error) {
+	return par.MapErr(len(results), func(i int) (*Profile, error) {
+		c, err := results[i].Curve()
+		if err != nil {
+			return nil, err
+		}
+		return NewProfile(results[i].ID, c)
+	})
+}
 
 // NewProfile derives a placement profile from a measured curve. The
 // curve is resolved once into the profile's power lookup table here, so
