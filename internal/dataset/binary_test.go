@@ -2,7 +2,6 @@ package dataset_test
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"repro/internal/dataset"
@@ -30,14 +29,18 @@ func jsonBytes(t *testing.T, rs []*dataset.Result) []byte {
 	return buf.Bytes()
 }
 
-// TestBinaryRoundTripExact pins full fidelity: a binary round trip
-// reproduces every field of the source bit-for-bit (compared through
-// the JSON form, whose shortest-representation floats are exact).
+// TestBinaryRoundTripExact pins full fidelity: WriteBinary emits the
+// EPFB v2 bytes of the column writer, and a round trip reproduces every
+// field of the source bit-for-bit (compared through the JSON form,
+// whose shortest-representation floats are exact).
 func TestBinaryRoundTripExact(t *testing.T) {
 	src := binaryTestCorpus(t)
 	var buf bytes.Buffer
 	if err := dataset.WriteBinary(&buf, src); err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), v2Bytes(t, src)) {
+		t.Error("WriteBinary bytes differ from the EPFB v2 column writer's")
 	}
 	got, err := dataset.ReadBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -93,48 +96,12 @@ func TestBinaryMatchesCSVAndJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryStreaming drives the incremental writer/reader pair
-// record by record.
-func TestBinaryStreaming(t *testing.T) {
-	src := binaryTestCorpus(t)[:25]
-	var buf bytes.Buffer
-	bw, err := dataset.NewBinaryWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range src {
-		if err := bw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	br, err := dataset.NewBinaryReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		r, err := br.Read()
-		if err == io.EOF {
-			if i != len(src) {
-				t.Fatalf("stream ended after %d records, want %d", i, len(src))
-			}
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.ID != src[i].ID {
-			t.Fatalf("record %d ID %q, want %q", i, r.ID, src[i].ID)
-		}
-	}
-}
-
+// TestBinaryRejectsCorruption exercises the v1 record walk's bound and
+// structure checks (TestColumnsV2RejectsCorruption covers v2).
 func TestBinaryRejectsCorruption(t *testing.T) {
 	src := binaryTestCorpus(t)[:3]
 	var buf bytes.Buffer
-	if err := dataset.WriteBinary(&buf, src); err != nil {
+	if err := dataset.WriteBinaryV1(&buf, src); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,9 +9,10 @@ import (
 	"unsafe"
 )
 
-// EPFB v2: the sectioned columnar layout of the binary corpus codec.
-// Where v1 streams one length-prefixed record per result, v2 streams
-// chunks of rows with one section per column:
+// EPFB v2: the sectioned columnar layout of the binary corpus codec,
+// and the only layout the program writes. Where v1 holds one
+// length-prefixed record per result, v2 holds chunks of rows with one
+// section per column:
 //
 //	magic "EPFB" | uvarint version=2
 //	repeated chunks until EOF:
@@ -33,8 +33,8 @@ import (
 // The writer emits sections in ascending ID order; the reader requires
 // only that the level-count section precede the level float sections,
 // and skips unknown section IDs, so future columns can be added without
-// breaking old readers. Float bytes are identical to v1's, so a
-// v2 round trip is bit-for-bit equal to the v1 path.
+// breaking old readers. Float bytes are identical to v1's, so a v1 file
+// and its v2 re-encoding decode to bit-identical results.
 
 const (
 	binaryVersionColumnar = 2
@@ -47,8 +47,8 @@ const (
 	maxColumnSection = 1 << 27
 
 	// colChunkRows is the writer's chunk size: large enough that
-	// section framing is noise, small enough to bound writer and
-	// reader scratch memory during streaming.
+	// section framing is noise, small enough to bound the writer's
+	// scratch memory while it streams shard by shard.
 	colChunkRows = 1 << 16
 )
 
@@ -210,6 +210,22 @@ func (cw *ColumnWriter) writeChunkRange(cs *ColumnStore, lo, hi int) error {
 	return nil
 }
 
+func appendUvarint(b []byte, v uint64) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	return append(b, tmp[:binary.PutUvarint(tmp[:], v)]...)
+}
+
+func appendVarint(b []byte, v int64) []byte {
+	var tmp [binary.MaxVarintLen64]byte
+	return append(b, tmp[:binary.PutVarint(tmp[:], v)]...)
+}
+
+func appendFloat(b []byte, v float64) []byte {
+	var tmp [8]byte
+	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
+	return append(b, tmp[:]...)
+}
+
 func appendVarint32s(b []byte, col []int32) []byte {
 	for _, v := range col {
 		b = appendVarint(b, int64(v))
@@ -229,103 +245,8 @@ func WriteColumns(w io.Writer, cs *ColumnStore) error {
 	return cw.Flush()
 }
 
-// ReadColumns parses a binary corpus into a ColumnStore. Both layouts
-// are accepted: v2 decodes with per-column bulk reads; v1 records are
-// appended row by row.
-func ReadColumns(r io.Reader) (*ColumnStore, error) {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	version, err := readBinaryHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case binaryVersion:
-		b := NewColumnBuilder(0, 0)
-		rr := &BinaryReader{r: br}
-		for {
-			res, err := rr.Read()
-			if err == io.EOF {
-				return b.Store(), nil
-			}
-			if err != nil {
-				return nil, err
-			}
-			b.Append(res)
-		}
-	case binaryVersionColumnar:
-		return readColumnsV2(br)
-	default:
-		return nil, fmt.Errorf("dataset: unsupported binary version %d", version)
-	}
-}
-
-// readBinaryHeader consumes the magic and version.
-func readBinaryHeader(br *bufio.Reader) (uint64, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, fmt.Errorf("dataset: read binary header: %w", err)
-	}
-	if magic != binaryMagic {
-		return 0, fmt.Errorf("dataset: bad binary magic %q", magic[:])
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return 0, fmt.Errorf("dataset: read binary version: %w", err)
-	}
-	return version, nil
-}
-
-func readColumnsV2(br *bufio.Reader) (*ColumnStore, error) {
-	cs := &ColumnStore{levelOff: []int32{0}}
-	src := &streamSections{br: br}
-	for {
-		rows, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			if err := cs.checkConsistent(); err != nil {
-				return nil, err
-			}
-			return cs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read binary chunk header: %w", err)
-		}
-		if rows == 0 || rows > maxChunkRows {
-			return nil, fmt.Errorf("dataset: binary chunk row count %d out of range [1,%d]", rows, maxChunkRows)
-		}
-		nSections, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: read binary chunk header: %w", err)
-		}
-		if nSections > 1<<10 {
-			return nil, fmt.Errorf("dataset: binary chunk section count %d out of range", nSections)
-		}
-		if err := cs.decodeChunk(int(rows), int(nSections), src); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// ReadColumnsBytes parses an in-memory binary corpus into a ColumnStore.
-// For v2 input this is the fastest load path: a header pre-scan sizes
-// every column up front and section payloads are sliced from data
-// rather than copied through a streaming buffer. The store does not
-// retain data. Other inputs (v1, corrupt headers) take the ReadColumns
-// path, so the two entry points accept exactly the same bytes.
-func ReadColumnsBytes(data []byte) (*ColumnStore, error) {
-	hdr := len(binaryMagic)
-	if len(data) < hdr+1 || [4]byte(data[:hdr]) != binaryMagic {
-		return ReadColumns(bytes.NewReader(data))
-	}
-	version, n := binary.Uvarint(data[hdr:])
-	if n <= 0 || version != binaryVersionColumnar {
-		return ReadColumns(bytes.NewReader(data))
-	}
-	return decodeColumnsV2Bytes(data[hdr+n:])
-}
-
+// decodeColumnsV2Bytes is the v2 chunk walk: it decodes every chunk of
+// the body after the header, slicing section payloads in place.
 func decodeColumnsV2Bytes(body []byte) (*ColumnStore, error) {
 	rowsHint, levelsHint := prescanColumnsV2(body)
 	cs := NewColumnBuilder(rowsHint, levelsHint).cs
@@ -408,44 +329,6 @@ scan:
 	return rowsHint, levelsHint
 }
 
-// sectionSource yields one chunk's section payloads in stream order.
-// The returned payload is valid only until the next call.
-type sectionSource interface {
-	next() (id uint64, payload []byte, err error)
-}
-
-// streamSections reads sections from a buffered stream into a reused
-// scratch buffer.
-type streamSections struct {
-	br      *bufio.Reader
-	scratch []byte
-}
-
-func (s *streamSections) next() (uint64, []byte, error) {
-	id, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("dataset: read binary section header: %w", err)
-	}
-	size, err := binary.ReadUvarint(s.br)
-	if err != nil {
-		return 0, nil, fmt.Errorf("dataset: read binary section header: %w", err)
-	}
-	if size > maxColumnSection {
-		return 0, nil, fmt.Errorf("dataset: binary section %d length %d exceeds limit %d", id, size, maxColumnSection)
-	}
-	if cap(s.scratch) < int(size) {
-		// Overshoot: the level float sections near the end of each chunk
-		// are the largest, so exact growth steps would each allocate
-		// (and the runtime zero) a buffer the next section outgrows.
-		s.scratch = make([]byte, int(size)+int(size)/2)
-	}
-	payload := s.scratch[:size]
-	if _, err := io.ReadFull(s.br, payload); err != nil {
-		return 0, nil, fmt.Errorf("dataset: read binary section %d: %w", id, err)
-	}
-	return id, payload, nil
-}
-
 // byteSections slices sections straight out of an in-memory corpus.
 type byteSections struct {
 	body []byte
@@ -475,7 +358,7 @@ func (s *byteSections) next() (uint64, []byte, error) {
 }
 
 // decodeChunk appends one chunk's sections to the store's columns.
-func (cs *ColumnStore) decodeChunk(rows, nSections int, src sectionSource) error {
+func (cs *ColumnStore) decodeChunk(rows, nSections int, src *byteSections) error {
 	var seen uint32  // bitmask of the known section IDs decoded so far
 	levelTotal := -1 // unknown until secLevelCounts
 	for s := 0; s < nSections; s++ {

@@ -16,7 +16,7 @@ import (
 func v1Bytes(t *testing.T, rs []*dataset.Result) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := dataset.WriteBinary(&buf, rs); err != nil {
+	if err := dataset.WriteBinaryV1(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -292,7 +292,7 @@ func TestReadPathDispatch(t *testing.T) {
 	paths := map[string]string{
 		"csv":  write("corpus.csv", func(f *os.File) error { return dataset.WriteCSV(f, rs) }),
 		"json": write("corpus.json", func(f *os.File) error { return dataset.WriteJSON(f, rs) }),
-		"v1":   write("corpus_v1.epfb", func(f *os.File) error { return dataset.WriteBinary(f, rs) }),
+		"v1":   write("corpus_v1.epfb", func(f *os.File) error { return dataset.WriteBinaryV1(f, rs) }),
 		// The v2 file deliberately carries a .csv extension: dispatch
 		// must sniff the magic, not trust the name.
 		"v2": write("corpus_v2.csv", func(f *os.File) error {

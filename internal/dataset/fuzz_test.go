@@ -83,7 +83,7 @@ func FuzzReadJSON(f *testing.F) {
 func FuzzReadBinary(f *testing.F) {
 	rs := []*Result{fuzzSeedResult()}
 	var v1 bytes.Buffer
-	if err := WriteBinary(&v1, rs); err != nil {
+	if err := WriteBinaryV1(&v1, rs); err != nil {
 		f.Fatal(err)
 	}
 	var v2 bytes.Buffer
@@ -100,35 +100,15 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(v1.Bytes()[:v1.Len()-3])
 	f.Add(v2.Bytes()[:v2.Len()-3])
 	f.Fuzz(func(t *testing.T, input []byte) {
-		// The streaming and in-memory columnar entry points share the
-		// decode logic but not the framing walk: they must accept
-		// exactly the same inputs and produce identical stores.
-		cs1, err1 := ReadColumns(bytes.NewReader(input))
-		cs2, err2 := ReadColumnsBytes(input)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("ReadColumns err=%v, ReadColumnsBytes err=%v", err1, err2)
-		}
-		if err1 == nil {
-			var b1, b2 bytes.Buffer
-			if err := WriteColumns(&b1, cs1); err != nil {
-				t.Fatal(err)
-			}
-			if err := WriteColumns(&b2, cs2); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-				t.Fatal("streaming and in-memory columnar decodes differ")
-			}
-		}
+		// ReadBinary decodes v1 records straight to results while
+		// ReadColumnsBytes appends them to columns: both must accept
+		// exactly the same inputs and decode the same corpus.
+		cs, errCols := ReadColumnsBytes(input)
 		results, err := ReadBinary(bytes.NewReader(input))
+		if (errCols == nil) != (err == nil) {
+			t.Fatalf("ReadColumnsBytes err=%v, ReadBinary err=%v", errCols, err)
+		}
 		if err != nil {
-			// The columnar entry points must agree that the input is bad
-			// or decode it without panicking; they may be stricter (they
-			// validate column alignment), never more lenient in a way
-			// that panics.
-			if err1 == nil {
-				_ = cs1.Materialize()
-			}
 			return
 		}
 		for _, r := range results {
@@ -138,23 +118,29 @@ func FuzzReadBinary(f *testing.F) {
 			_ = r.EP()
 			_ = IsCompliant(r)
 		}
-		var re1 bytes.Buffer
-		if err := WriteBinary(&re1, results); err != nil {
+		var re1, fromCols bytes.Buffer
+		if err := WriteBinaryV1(&re1, results); err != nil {
 			t.Fatalf("v1 re-encode failed: %v", err)
+		}
+		if err := WriteBinaryV1(&fromCols, cs.Materialize()); err != nil {
+			t.Fatalf("v1 re-encode failed: %v", err)
+		}
+		if !bytes.Equal(re1.Bytes(), fromCols.Bytes()) {
+			t.Fatal("ReadBinary and ReadColumnsBytes decodes differ")
 		}
 		back, err := ReadBinary(bytes.NewReader(re1.Bytes()))
 		if err != nil || len(back) != len(results) {
 			t.Fatalf("v1 round trip failed: %v (%d vs %d)", err, len(back), len(results))
 		}
 		var re2 bytes.Buffer
-		if err := WriteColumns(&re2, buildRawColumns(results)); err != nil {
+		if err := WriteBinary(&re2, results); err != nil {
 			t.Fatalf("v2 re-encode failed: %v", err)
 		}
-		cs, err := ReadColumns(bytes.NewReader(re2.Bytes()))
-		if err != nil || cs.Len() != len(results) {
+		cs2, err := ReadColumns(bytes.NewReader(re2.Bytes()))
+		if err != nil || cs2.Len() != len(results) {
 			n := -1
-			if cs != nil {
-				n = cs.Len()
+			if cs2 != nil {
+				n = cs2.Len()
 			}
 			t.Fatalf("v2 round trip failed: %v (%d vs %d)", err, n, len(results))
 		}

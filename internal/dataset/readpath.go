@@ -9,8 +9,8 @@ import (
 
 // ReadPath loads a dataset file into a repository, dispatching on
 // content and extension. Files that begin with the EPFB magic load
-// through the columnar reader (record v1 or sectioned v2) straight
-// into a column-backed repository — result views materialize lazily.
+// through ReadColumnsBytes (record v1 or sectioned v2) straight into a
+// column-backed repository — result views materialize lazily.
 // Otherwise a ".json" suffix selects the JSON codec and anything else
 // the CSV codec, the convention the CLIs shared individually before
 // this helper existed.
@@ -23,20 +23,17 @@ func ReadPath(path string) (*Repository, error) {
 	br := bufio.NewReaderSize(f, 1<<16)
 	head, _ := br.Peek(len(binaryMagic))
 	if bytes.Equal(head, binaryMagic[:]) {
-		// Binary corpora are decoded from memory: the v2 fast path
-		// pre-sizes every column from the chunk framing and slices
-		// section payloads in place instead of streaming through a
-		// scratch buffer. Pre-sizing the read buffer from the file
-		// length avoids growth copies on the way in.
+		// Binary corpora are decoded from memory, read into a buffer
+		// pre-sized from the file length.
 		size := 0
 		if st, err := f.Stat(); err == nil && st.Size() > 0 {
 			size = int(st.Size())
 		}
-		buf := bytes.NewBuffer(make([]byte, 0, size+1))
-		if _, err := buf.ReadFrom(br); err != nil {
+		data, err := readAllSized(br, size)
+		if err != nil {
 			return nil, err
 		}
-		cs, err := ReadColumnsBytes(buf.Bytes())
+		cs, err := ReadColumnsBytes(data)
 		if err != nil {
 			return nil, err
 		}
