@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -360,6 +361,27 @@ func TestServersFilter(t *testing.T) {
 	}
 	if w := get(t, s, "/api/v1/servers?year=x", nil); w.Code != http.StatusBadRequest {
 		t.Fatalf("bad year: status %d, want 400", w.Code)
+	}
+}
+
+// TestServersCacheBounded: distinct /servers filters that can match no
+// row share one cache entry and still answer 200 with an empty list, so
+// clients cannot grow the snapshot cache by one entry per query.
+func TestServersCacheBounded(t *testing.T) {
+	s := newTestServer(t)
+	for i := 0; i < 5000; i++ {
+		for _, target := range []string{
+			fmt.Sprintf("/api/v1/servers?arch=zz%d", i),
+			fmt.Sprintf("/api/v1/servers?year=%d", 3000+i),
+		} {
+			w := get(t, s, target, nil)
+			if w.Code != http.StatusOK || strings.TrimSpace(w.Body.String()) != "[]" {
+				t.Fatalf("%s: status %d body %.40q, want 200 []", target, w.Code, w.Body.String())
+			}
+		}
+	}
+	if n := s.Snapshot().Cache().Stats().Entries; n > 2 {
+		t.Fatalf("10000 no-match /servers queries left %d cache entries", n)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/microarch"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -239,6 +241,12 @@ type renderFunc func(*Snapshot) (body []byte, contentType string, err error)
 // hit-rate. The warm path does no rendering, no copying, and no
 // allocation beyond response headers.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, class, key string, render renderFunc) {
+	s.cachedBy(w, r, class, func(*Snapshot) string { return key }, render)
+}
+
+// cachedBy is cached for an endpoint whose cache key depends on the
+// addressed snapshot: key runs once the snapshot is resolved.
+func (s *Server) cachedBy(w http.ResponseWriter, r *http.Request, class string, key func(*Snapshot) string, render renderFunc) {
 	start := time.Now()
 	snap, err := s.snapshotFor(r)
 	if err != nil {
@@ -246,7 +254,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, class, key strin
 		s.recorders[class].Observe(time.Since(start), false, true)
 		return
 	}
-	ent, hit, err := snap.cache.Get(key, func() ([]byte, string, error) { return render(snap) })
+	ent, hit, err := snap.cache.Get(key(snap), func() ([]byte, string, error) { return render(snap) })
 	if err != nil {
 		http.Error(w, err.Error(), errStatus(err))
 	} else {
@@ -499,8 +507,8 @@ func (s *Server) handleServers(w http.ResponseWriter, r *http.Request) {
 		year = v
 	}
 	arch := strings.ToLower(strings.TrimSpace(r.URL.Query().Get("arch")))
-	key := "servers\x00" + strconv.Itoa(year) + "\x00" + arch
-	s.cached(w, r, "servers", key, func(snap *Snapshot) ([]byte, string, error) {
+	key := func(snap *Snapshot) string { return serversKey(snap, year, arch) }
+	s.cachedBy(w, r, "servers", key, func(snap *Snapshot) ([]byte, string, error) {
 		cs := snap.Valid.Columns()
 		ids, vendors, systems := cs.IDCol(), cs.VendorCol(), cs.SystemCol()
 		years, codenames := cs.HWYearCol(), cs.CodenameCol()
@@ -545,6 +553,35 @@ func (s *Server) handleServers(w http.ResponseWriter, r *http.Request) {
 		}
 		return marshalJSON(out)
 	})
+}
+
+// archNames holds the lower-cased family and codename names a corpus
+// row can carry, including the unknown codename's.
+var archNames = func() map[string]bool {
+	names := map[string]bool{strings.ToLower(microarch.UnknownCodename.String()): true}
+	for _, f := range microarch.AllFamilies() {
+		names[strings.ToLower(f.String())] = true
+	}
+	for _, c := range microarch.AllCodenames() {
+		names[strings.ToLower(c.String())] = true
+	}
+	return names
+}()
+
+// serversKey is the cache key of a /servers query. The filters come
+// from clients, so a key built from them verbatim would let every
+// distinct miss leave one more resident entry. Every query that can
+// match no row — an arch no row can carry, a year outside the
+// snapshot's hardware years — shares one entry instead, which bounds
+// the keys to the known names times the corpus years.
+func serversKey(snap *Snapshot, year int, arch string) string {
+	if arch != "" && !archNames[arch] {
+		return "servers\x00none"
+	}
+	if _, ok := slices.BinarySearch(snap.hwYears, year); year != 0 && !ok {
+		return "servers\x00none"
+	}
+	return "servers\x00" + strconv.Itoa(year) + "\x00" + arch
 }
 
 // handleSummary serves the machine-readable analysis bundle — the same

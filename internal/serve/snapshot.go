@@ -34,6 +34,9 @@ type Snapshot struct {
 	Corpus string
 
 	cache Cache
+	// hwYears is Valid.HWYears(): the /servers cache key checks a
+	// ?year= filter against it.
+	hwYears []int
 
 	// The corpus and fleet gauge families are pure functions of the
 	// immutable corpus, so they are computed once per snapshot on first
@@ -50,7 +53,8 @@ type Snapshot struct {
 func NewSnapshot(rp *dataset.Repository, seed int64, opts report.Options) *Snapshot {
 	valid := rp.Valid()
 	valid.Precompute()
-	return &Snapshot{Repo: rp, Valid: valid, Seed: seed, Opts: opts, Corpus: Key{Seed: seed}.String()}
+	return &Snapshot{Repo: rp, Valid: valid, Seed: seed, Opts: opts, Corpus: Key{Seed: seed}.String(),
+		hwYears: valid.HWYears()}
 }
 
 // SynthSnapshot generates the calibrated synthetic corpus at seed and
