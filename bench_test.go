@@ -753,6 +753,9 @@ func benchmarkFleetRead(b *testing.B,
 	}
 }
 
+// BenchmarkFleetReadBinary10k times ReadBinary over the EPFB v2 bytes
+// WriteBinary emits: the column decode plus the parallel Materialize
+// into result structs.
 func BenchmarkFleetReadBinary10k(b *testing.B) {
 	benchmarkFleetRead(b, repro.WriteBinary, repro.ReadBinary)
 }
@@ -765,6 +768,8 @@ func BenchmarkFleetReadJSON10k(b *testing.B) {
 	benchmarkFleetRead(b, repro.WriteJSON, repro.ReadJSON)
 }
 
+// BenchmarkFleetWriteBinary10k times WriteBinary, which encodes EPFB
+// v2: a column build from the results, then the chunked section writer.
 func BenchmarkFleetWriteBinary10k(b *testing.B) {
 	rs, err := repro.GenerateFleet(repro.FleetConfig{Seed: 1, Servers: 10_000})
 	if err != nil {

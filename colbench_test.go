@@ -55,27 +55,26 @@ func BenchmarkColumnarGenerate10k(b *testing.B)  { benchmarkColumnarGenerate(b, 
 func BenchmarkColumnarGenerate100k(b *testing.B) { benchmarkColumnarGenerate(b, 100_000) }
 func BenchmarkColumnarGenerate1M(b *testing.B)   { benchmarkColumnarGenerate(b, 1_000_000) }
 
-// ---- binary load: record-major v1 vs sectioned columnar v2 ----
+// ---- binary load (EPFB v2) ----
 //
-// Both formats load through the same entry point (ReadColumnsBytes,
-// the ReadPath route for on-disk corpora) into the same artifact, a
-// ColumnStore, so the pair isolates the cost of the wire encoding:
-// v1 decodes record by record through the column builder, v2 decodes
-// whole column sections in place.
+// ReadColumnsBytes is the ReadPath route for on-disk corpora: whole
+// column sections decode in place from the file image. ReadColumns is
+// the stream entry point: it reads the stream into one buffer first,
+// so it pays one copy of the input on top of the same decode. The v1
+// layout is no longer written, so it has no load benchmark here; the
+// v1 fixture test in internal/dataset covers its decoder.
 
-func benchmarkColumnarLoad(b *testing.B, n int, v2 bool) {
-	cs := colStore(b, n)
+func columnarV2Bytes(b *testing.B, n int) []byte {
+	b.Helper()
 	var buf bytes.Buffer
-	var err error
-	if v2 {
-		err = repro.WriteColumns(&buf, cs)
-	} else {
-		err = repro.WriteBinary(&buf, cs.Materialize())
-	}
-	if err != nil {
+	if err := repro.WriteColumns(&buf, colStore(b, n)); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
+	return buf.Bytes()
+}
+
+func benchmarkColumnarLoad(b *testing.B, n int) {
+	data := columnarV2Bytes(b, n)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -90,12 +89,28 @@ func benchmarkColumnarLoad(b *testing.B, n int, v2 bool) {
 	}
 }
 
-func BenchmarkColumnarLoadV1_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_000, false) }
-func BenchmarkColumnarLoadV2_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_000, true) }
-func BenchmarkColumnarLoadV1_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000, false) }
-func BenchmarkColumnarLoadV2_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000, true) }
-func BenchmarkColumnarLoadV1_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000, false) }
-func BenchmarkColumnarLoadV2_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000, true) }
+func BenchmarkColumnarLoadV2_10k(b *testing.B)  { benchmarkColumnarLoad(b, 10_000) }
+func BenchmarkColumnarLoadV2_100k(b *testing.B) { benchmarkColumnarLoad(b, 100_000) }
+func BenchmarkColumnarLoadV2_1M(b *testing.B)   { benchmarkColumnarLoad(b, 1_000_000) }
+
+func benchmarkColumnarReadColumns(b *testing.B, n int) {
+	data := columnarV2Bytes(b, n)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := repro.ReadColumns(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Len() != n {
+			b.Fatalf("loaded %d rows", got.Len())
+		}
+	}
+}
+
+func BenchmarkColumnarReadColumns10k(b *testing.B)  { benchmarkColumnarReadColumns(b, 10_000) }
+func BenchmarkColumnarReadColumns100k(b *testing.B) { benchmarkColumnarReadColumns(b, 100_000) }
 
 // ---- full analysis suite + text report ----
 
