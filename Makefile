@@ -33,8 +33,8 @@ bench:
 fleetbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFleet' -benchtime 1x .
 
-# Columnar-core smoke: one iteration of the 10k/100k generate, load
-# (EPFB v1 vs v2), and full-report benchmarks. The 1M variants are
+# Columnar-core smoke: one iteration of the 10k/100k generate, EPFB v2
+# load (ReadColumnsBytes and ReadColumns), and full-report benchmarks. The 1M variants are
 # excluded to keep the CI run short; run them by hand with
 # `go test -bench 'BenchmarkColumnar.*1M' -benchtime 2x .`
 # when refreshing BENCH_columnar.json.
@@ -86,13 +86,21 @@ verify:
 calibrate:
 	$(GO) run ./cmd/specgen -verify -q
 
-# Fuzz the EP metric kernel and the curve solvers for a short burst
-# each (CI smoke; raise FUZZTIME locally for a real session).
+# The CI fuzz smoke, a short burst per target: the EP kernel, the curve
+# solvers (and the fused solver against its reference), the binary
+# corpus codec (v1 and v2), the columnar metric kernel against
+# core.Curve, the OpenMetrics parser and the two trace CSV parsers.
+# Raise FUZZTIME locally for a real session.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCurveEP -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzIdleForEP -fuzztime $(FUZZTIME) ./internal/synth
 	$(GO) test -run '^$$' -fuzz FuzzSolveCurveMatchesReference -fuzztime $(FUZZTIME) ./internal/synth
+	$(GO) test -run '^$$' -fuzz FuzzReadBinary -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzDeriveMatchesCurve -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz FuzzParseExposition -fuzztime $(FUZZTIME) ./internal/metrics
+	$(GO) test -run '^$$' -fuzz FuzzReadIntensityCSV -fuzztime $(FUZZTIME) ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzReadCSV -fuzztime $(FUZZTIME) ./internal/trace
 
 # Serve the report/figures/metrics over HTTP from the snapshot cache.
 serve:
